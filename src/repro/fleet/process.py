@@ -22,6 +22,11 @@ import numpy as np
 __all__ = ["RenewalFailureProcess"]
 
 
+#: Draws read from a chip's substream at a time. A block holds exactly
+#: the values the same number of scalar draws would return, in order.
+_BLOCK = 16
+
+
 class RenewalFailureProcess:
     """Independent exponential renewal streams, one per chip.
 
@@ -29,7 +34,7 @@ class RenewalFailureProcess:
         chips: number of chips (stream count).
         mtbf_s: mean time between failures of one chip, seconds.
         seed: base RNG seed; chip ``i`` draws from
-            ``default_rng((seed, i))``.
+            ``default_rng((seed, i))``, :data:`_BLOCK` values at a time.
     """
 
     def __init__(self, chips: int, mtbf_s: float, seed: int = 0):
@@ -41,6 +46,8 @@ class RenewalFailureProcess:
         self.mtbf_s = mtbf_s
         self.seed = seed
         self._streams: list[np.random.Generator | None] = [None] * chips
+        self._blocks = np.empty((chips, _BLOCK))
+        self._used = [_BLOCK] * chips
 
     def next_delay_s(self, chip: int) -> float:
         """The chip's next time-to-failure draw, seconds from now.
@@ -50,8 +57,13 @@ class RenewalFailureProcess:
         """
         if not 0 <= chip < self.chips:
             raise IndexError(f"chip {chip} outside fleet of {self.chips}")
-        stream = self._streams[chip]
-        if stream is None:
-            stream = np.random.default_rng((self.seed, chip))
-            self._streams[chip] = stream
-        return float(stream.exponential(self.mtbf_s))
+        used = self._used[chip]
+        if used == _BLOCK:
+            stream = self._streams[chip]
+            if stream is None:
+                stream = np.random.default_rng((self.seed, chip))
+                self._streams[chip] = stream
+            self._blocks[chip] = stream.exponential(self.mtbf_s, _BLOCK)
+            used = 0
+        self._used[chip] = used + 1
+        return self._blocks.item(chip, used)

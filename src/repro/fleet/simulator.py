@@ -23,6 +23,11 @@ Occupancy is tracked live — failed chips and blast-radius collateral are
 integrated separately — and every number in the resulting
 :class:`FleetStats` derives from simulation state, never wall clock, so
 runs are deterministic per seed and golden-testable.
+
+Each in-service chip's next failure time sits in a per-rack array, and
+the engine holds one event per rack, at that rack's earliest entry: a
+rack migration clears 63 entries and re-arms one event instead of
+cancelling 63.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from dataclasses import dataclass
 
 from ..failures.recovery import RackMigrationPolicy
 from ..obs.log import INFO as _INFO, NULL_LOG, EventLog
+from ..obs.metrics import nearest_rank
 from ..phy.constants import CHIPS_PER_SERVER, RACKS_PER_CLUSTER, RECONFIG_LATENCY_S
-from ..sim.engine import EventEngine, SimulationError
+from ..sim.engine import Event, EventEngine, SimulationError
 from .policies import RepairPolicy, make_policy
 from .process import RenewalFailureProcess
 
@@ -172,14 +178,6 @@ class FleetStats:
     series: tuple[tuple[float, float, float], ...]
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted list (0.0 if empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 class FleetSimulator:
     """One fabric's failure/repair dynamics over the horizon.
 
@@ -210,7 +208,13 @@ class FleetSimulator:
             chips=config.chips, mtbf_s=config.mtbf_s, seed=config.seed
         )
         self._state = [_OPERATIONAL] * config.chips
-        self._failure_events: list[object | None] = [None] * config.chips
+        # Next failure time of each chip, per rack: ``inf`` while the
+        # chip is out of service or outlives the horizon. The engine
+        # holds one event per rack, at its earliest entry.
+        self._fail_at = [
+            [math.inf] * config.chips_per_rack for _ in range(config.racks)
+        ]
+        self._rack_events: list[Event | None] = [None] * config.racks
         self._fail_times: dict[int, float] = {}
         # Occupancy accounting: failed chips and blast collateral are
         # integrated separately so "goodput lost to blast radius" falls
@@ -275,17 +279,40 @@ class FleetSimulator:
 
     # -- failure renewal ----------------------------------------------------------
 
-    def _schedule_failure(self, chip: int) -> None:
+    def _draw_failure(self, chip: int) -> None:
+        """Set an in-service chip's next failure time from its renewal
+        stream (the caller re-arms the rack)."""
         t = self._engine.now_s + self._process.next_delay_s(chip)
-        if t <= self.config.horizon_s:
-            self._failure_events[chip] = self._engine.schedule_at(
-                t, lambda chip=chip: self._on_failure(chip)
+        rack, slot = divmod(chip, self.config.chips_per_rack)
+        self._fail_at[rack][slot] = t if t <= self.config.horizon_s else math.inf
+
+    def _clear_failure(self, chip: int) -> None:
+        """Drop the pending failure of a chip leaving service (the
+        caller re-arms the rack)."""
+        rack, slot = divmod(chip, self.config.chips_per_rack)
+        self._fail_at[rack][slot] = math.inf
+
+    def _arm(self, rack: int) -> None:
+        """Point the rack's engine event at its earliest failure time."""
+        t = min(self._fail_at[rack])
+        event = self._rack_events[rack]
+        if event is not None:
+            if event.time_s == t:
+                return
+            event.cancel()
+            self._rack_events[rack] = None
+        if t != math.inf:
+            self._rack_events[rack] = self._engine.schedule_at(
+                t, lambda: self._on_rack_failure(rack)
             )
-        else:
-            self._failure_events[chip] = None
+
+    def _on_rack_failure(self, rack: int) -> None:
+        self._rack_events[rack] = None
+        slot = self._fail_at[rack].index(self._engine.now_s)
+        self._on_failure(rack * self.config.chips_per_rack + slot)
 
     def _on_failure(self, chip: int) -> None:
-        self._failure_events[chip] = None
+        self._clear_failure(chip)
         self._account()
         self._state[chip] = _FAILED
         self._down_failed += 1
@@ -295,20 +322,18 @@ class FleetSimulator:
             self._peak_failed = self._down_failed
         self._record()
         self.policy.on_failure(chip)
+        self._arm(chip // self.config.chips_per_rack)
 
     def _suspend(self, chip: int) -> None:
         """Take a healthy chip out as blast-radius collateral."""
-        event = self._failure_events[chip]
-        if event is not None:
-            event.cancel()
-            self._failure_events[chip] = None
+        self._clear_failure(chip)
         self._state[chip] = _SUSPENDED
         self._down_collateral += 1
 
     def _restore(self, chip: int) -> None:
         """Return a chip to service with a fresh failure draw."""
         self._state[chip] = _OPERATIONAL
-        self._schedule_failure(chip)
+        self._draw_failure(chip)
 
     def _repair_done(self, chip: int) -> None:
         self._down_failed -= 1
@@ -344,6 +369,7 @@ class FleetSimulator:
             for c in self._rack_chips(rack):
                 if self._state[c] == _OPERATIONAL:
                     self._suspend(c)
+            self._arm(rack)
             self._record()
             self._engine.schedule_after(
                 cfg.migration_s, lambda rack=rack: self._complete_migration(rack)
@@ -357,6 +383,7 @@ class FleetSimulator:
                 self._restore(c)
             elif self._state[c] == _FAILED:
                 self._repair_done(c)
+        self._arm(rack)
         self._rack_busy[rack] = False
         self._active_migrations -= 1
         self._record()
@@ -391,6 +418,7 @@ class FleetSimulator:
             if peer != chip and self._state[peer] == _OPERATIONAL:
                 self._suspend(peer)
                 stalled.append(peer)
+        self._arm(rack)
         self._record()
         self._engine.schedule_after(
             self.config.circuit_setup_s,
@@ -404,8 +432,9 @@ class FleetSimulator:
             if self._state[peer] == _SUSPENDED:
                 self._down_collateral -= 1
                 self._restore(peer)
-        self._record()
         rack = chip // self.config.chips_per_rack
+        self._arm(rack)
+        self._record()
         self._engine.schedule_after(
             self.config.spare_replenish_s, lambda rack=rack: self._replenish(rack)
         )
@@ -460,7 +489,9 @@ class FleetSimulator:
         )
         self.policy.start(self._engine, dispatch)
         for chip in range(self.config.chips):
-            self._schedule_failure(chip)
+            self._draw_failure(chip)
+        for rack in range(self.config.racks):
+            self._arm(rack)
         if self.log.enabled_for(_INFO):
             # Progress heartbeats ride the sim-time event queue (so they
             # interleave deterministically with the dynamics they report
@@ -493,9 +524,9 @@ class FleetSimulator:
             peak_failed_chips=self._peak_failed,
             lost_chip_seconds=self._lost,
             collateral_chip_seconds=self._collateral_lost,
-            ttr_p50_s=_percentile(ttrs, 0.50),
-            ttr_p90_s=_percentile(ttrs, 0.90),
-            ttr_p99_s=_percentile(ttrs, 0.99),
+            ttr_p50_s=nearest_rank(ttrs, 0.50),
+            ttr_p90_s=nearest_rank(ttrs, 0.90),
+            ttr_p99_s=nearest_rank(ttrs, 0.99),
             ttr_max_s=ttrs[-1] if ttrs else 0.0,
             series=self._series(),
         )

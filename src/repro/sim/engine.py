@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["Event", "EventEngine", "SimulationError"]
@@ -21,21 +21,21 @@ class SimulationError(RuntimeError):
     """Raised on clock violations or a runaway simulation."""
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
     Attributes:
         time_s: absolute simulation time the event fires at.
         sequence: tie-breaker preserving scheduling order at equal times.
-        action: the callback (ignored by the ordering).
+        action: the callback.
         cancelled: set via :meth:`cancel`; cancelled events are skipped.
     """
 
     time_s: float
     sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Prevent the event from firing."""
@@ -45,13 +45,16 @@ class Event:
 class EventEngine:
     """A time-ordered event loop.
 
+    The queue holds ``(time_s, sequence, event)`` tuples: sequences are
+    unique, so heap comparisons stop at the first two fields and run in C.
+
     Attributes:
         now_s: current simulation time, seconds.
     """
 
     def __init__(self, max_events: int = 10_000_000):
         self.now_s = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._max_events = max_events
         self._processed = 0
@@ -66,8 +69,9 @@ class EventEngine:
             raise SimulationError(
                 f"cannot schedule at {time_s} before now ({self.now_s})"
             )
-        event = Event(time_s=time_s, sequence=next(self._sequence), action=action)
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = Event(time_s, sequence, action)
+        heapq.heappush(self._queue, (time_s, sequence, event))
         return event
 
     def schedule_after(self, delay_s: float, action: Callable[[], None]) -> Event:
@@ -83,7 +87,7 @@ class EventEngine:
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def next_event_time(self) -> float | None:
         """Fire time of the next live event, or None when none remain.
@@ -91,9 +95,10 @@ class EventEngine:
         Cancelled events at the head of the queue are discarded as a side
         effect, so a ``None`` answer means :meth:`step` would return False.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time_s if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     @property
     def processed(self) -> int:
@@ -111,20 +116,17 @@ class EventEngine:
             SimulationError: when running the next event would exceed
                 the engine's ``max_events`` bound.
         """
-        while self._queue:
-            if self._queue[0].cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if self._processed >= self._max_events:
-                raise SimulationError(
-                    f"exceeded {self._max_events} events; runaway simulation?"
-                )
-            event = heapq.heappop(self._queue)
-            self.now_s = event.time_s
-            self._processed += 1
-            event.action()
-            return True
-        return False
+        if self.next_event_time() is None:
+            return False
+        if self._processed >= self._max_events:
+            raise SimulationError(
+                f"exceeded {self._max_events} events; runaway simulation?"
+            )
+        time_s, _, event = heapq.heappop(self._queue)
+        self.now_s = time_s
+        self._processed += 1
+        event.action()
+        return True
 
     def run(self, until_s: float | None = None) -> float:
         """Run events (optionally only those at or before ``until_s``).
@@ -132,12 +134,8 @@ class EventEngine:
         Returns:
             The simulation time after the run.
         """
-        while self._queue:
-            next_event = self._queue[0]
-            if next_event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until_s is not None and next_event.time_s > until_s:
+        while (next_time := self.next_event_time()) is not None:
+            if until_s is not None and next_time > until_s:
                 self.now_s = until_s
                 return self.now_s
             self.step()

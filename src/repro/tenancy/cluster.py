@@ -13,11 +13,19 @@ A steered placement registers each of its chips as a unit slice in the
 owning allocator (named ``job-N@k``), so allocator-level invariants — no
 two slices share a chip — keep holding across both placement kinds, and
 :meth:`check_consistent` can cross-check the cluster's incremental
-occupancy sets against the allocators chip by chip.
+occupancy against the allocators chip by chip.
+
+Each rack's occupancy is an integer bitmask — bit ``i`` is the ``i``-th
+chip of :meth:`Torus.nodes`, in lexicographic order — so the placement
+scan tests a candidate box with one ``&`` against a box mask built once
+per shape.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from ..topology.slices import (
@@ -71,23 +79,6 @@ class Allocation:
         return len(self.chips)
 
 
-def _box_chips(
-    rack_shape: tuple[int, ...],
-    offset: Coordinate,
-    shape: tuple[int, ...],
-) -> list[Coordinate]:
-    """Chips of the wrap-around box at ``offset`` (no Slice construction
-    — this is the placement scan's hot path)."""
-    axes = [
-        [(off + i) % rack_ext for i in range(ext)]
-        for off, ext, rack_ext in zip(offset, shape, rack_shape)
-    ]
-    chips = [(a,) for a in axes[0]]
-    for axis in axes[1:]:
-        chips = [c + (a,) for c in chips for a in axis]
-    return chips
-
-
 class ClusterState:
     """Occupancy of ``racks`` torus racks under a churning tenant mix.
 
@@ -115,11 +106,16 @@ class ClusterState:
         self._torus = Torus(self.rack_shape)
         self.racks = [SliceAllocator(self._torus) for _ in range(racks)]
         self.allocations: dict[str, Allocation] = {}
-        self._occupied: list[set[Coordinate]] = [set() for _ in range(racks)]
+        self._chips = list(self._torus.nodes())
+        self._bits = {chip: 1 << i for i, chip in enumerate(self._chips)}
+        self._masks = [0] * racks
         self._circuits_used = [0] * racks
         # Free chips per rack, maintained incrementally — placement
         # scans and fragmentation sampling never rebuild occupancy.
         self._free = [self._torus.node_count] * racks
+        # Per shape: its volume and every (offset, box mask) candidate,
+        # offsets in lexicographic order.
+        self._boxes: dict[tuple[int, ...], tuple[int, list[tuple[Coordinate, int]]]] = {}
 
     # -- capacity ----------------------------------------------------------------
 
@@ -149,36 +145,55 @@ class ClusterState:
         """Wavelength circuits steered placements consume in ``rack``."""
         return self._circuits_used[rack]
 
+    def chip_mask(self, chips: Iterable[Coordinate]) -> int:
+        """Bitmask of ``chips`` (coordinates of one rack)."""
+        bits = self._bits
+        mask = 0
+        for chip in chips:
+            mask |= bits[chip]
+        return mask
+
     # -- placement ---------------------------------------------------------------
+
+    def _box_table(
+        self, shape: tuple[int, ...]
+    ) -> tuple[int, list[tuple[Coordinate, int]]]:
+        """Volume of ``shape`` and its wrap-around box mask at every
+        offset, offsets in lexicographic order."""
+        table = []
+        for offset in self._torus.nodes():
+            axes = [
+                [(off + i) % rack_ext for i in range(ext)]
+                for off, ext, rack_ext in zip(offset, shape, self.rack_shape)
+            ]
+            table.append((offset, self.chip_mask(itertools.product(*axes))))
+        return math.prod(shape), table
 
     def find_offset(
         self,
         rack: int,
         shape: tuple[int, ...],
-        ignore: frozenset[Coordinate] = frozenset(),
+        ignore: int = 0,
     ) -> Coordinate | None:
         """First lexicographic offset where ``shape`` fits in ``rack``,
-        or ``None``. ``ignore`` chips count as free — the defrag policy
-        scans for a survivor's new home without releasing it first.
-        Raises :class:`ShapeTooLargeError` when no offset could ever
-        host the shape."""
-        for ext, rack_ext in zip(shape, self.rack_shape):
-            if ext > rack_ext:
-                raise ShapeTooLargeError(
-                    f"shape {shape} exceeds the rack torus {self.rack_shape}"
-                )
-        volume = 1
-        for ext in shape:
-            volume *= ext
-        if volume > self._free[rack] + len(ignore):
+        or ``None``. Chips in the ``ignore`` mask (see :meth:`chip_mask`)
+        count as free — the defrag policy scans for a survivor's new home
+        without releasing it first. Raises :class:`ShapeTooLargeError`
+        when no offset could ever host the shape."""
+        boxes = self._boxes.get(shape)
+        if boxes is None:
+            for ext, rack_ext in zip(shape, self.rack_shape):
+                if ext > rack_ext:
+                    raise ShapeTooLargeError(
+                        f"shape {shape} exceeds the rack torus {self.rack_shape}"
+                    )
+            boxes = self._boxes[shape] = self._box_table(shape)
+        volume, table = boxes
+        if volume > self._free[rack] + ignore.bit_count():
             return None
-        taken = self._occupied[rack]
-        if ignore:
-            taken = taken - ignore
-        for offset in self._torus.nodes():
-            if offset in taken:
-                continue
-            if all(c not in taken for c in _box_chips(self.rack_shape, offset, shape)):
+        taken = self._masks[rack] & ~ignore
+        for offset, box in table:
+            if not taken & box:
                 return offset
         return None
 
@@ -238,14 +253,14 @@ class ClusterState:
                 f"{self.steer_circuits - self._circuits_used[rack]} of "
                 f"{self.steer_circuits} left"
             )
-        taken = self._occupied[rack]
+        taken = self._masks[rack]
         if chips is None:
             picked: list[Coordinate] = []
-            for chip in self._torus.nodes():
-                if chip not in taken:
-                    picked.append(chip)
-                    if len(picked) == needed:
-                        break
+            free = ~taken
+            while len(picked) < needed:
+                low = free & -free  # the lowest free chip's bit
+                picked.append(self._chips[low.bit_length() - 1])
+                free ^= low
         else:
             picked = list(chips)
             if len(picked) != needed:
@@ -253,7 +268,7 @@ class ClusterState:
                     f"{name}: pinned {len(picked)} chips for a "
                     f"{needed}-chip shape"
                 )
-            busy = [c for c in picked if c in taken]
+            busy = [c for c in picked if taken & self._bits[c]]
             if busy:
                 raise SliceOverlapError(
                     f"pinned chip {busy[0]} for {name} is already allocated"
@@ -308,7 +323,7 @@ class ClusterState:
             # wiring cannot realize them at all.
             electrical, optical = 0.0, 1.0
         circuits = 0 if contiguous else len(chips)
-        self._occupied[rack].update(chips)
+        self._masks[rack] |= self.chip_mask(chips)
         self._free[rack] -= len(chips)
         self._circuits_used[rack] += circuits
         self.allocations[name] = Allocation(
@@ -336,7 +351,7 @@ class ClusterState:
         else:
             for k in range(allocation.chip_count):
                 allocator.release(f"{name}@{k}")
-        self._occupied[allocation.rack].difference_update(allocation.chips)
+        self._masks[allocation.rack] &= ~self.chip_mask(allocation.chips)
         self._free[allocation.rack] += allocation.chip_count
         self._circuits_used[allocation.rack] -= allocation.circuits
         return allocation
@@ -385,33 +400,37 @@ class ClusterState:
     # -- invariants ----------------------------------------------------------------
 
     def check_consistent(self) -> None:
-        """Cross-check incremental occupancy against the allocators.
+        """Cross-check the rack masks against the allocators.
 
         Raises:
             AssertionError: on any divergence — overlapping
                 allocations, free-count drift, or circuit-budget drift.
+                Raised explicitly, so the check also runs under
+                ``python -O``.
         """
         for rack in range(self.rack_count):
-            from_allocator: set[Coordinate] = set()
+            from_allocator = 0
             total = 0
             for s in self.racks[rack].slices:
                 chips = s.chips()
                 total += len(chips)
-                from_allocator.update(chips)
-            assert total == len(from_allocator), (
-                f"rack {rack}: allocator slices overlap "
-                f"({total} chips in {len(from_allocator)} coordinates)"
-            )
-            assert from_allocator == self._occupied[rack], (
-                f"rack {rack}: occupancy set diverged from the allocator"
-            )
-            assert self._free[rack] == self.rack_chips - len(from_allocator), (
-                f"rack {rack}: free-count drift"
-            )
-            assert 0 <= self._circuits_used[rack] <= self.steer_circuits, (
-                f"rack {rack}: circuit budget out of range"
-            )
+                from_allocator |= self.chip_mask(chips)
+            held = from_allocator.bit_count()
+            if total != held:
+                raise AssertionError(
+                    f"rack {rack}: allocator slices overlap "
+                    f"({total} chips in {held} coordinates)"
+                )
+            if from_allocator != self._masks[rack]:
+                raise AssertionError(
+                    f"rack {rack}: occupancy mask diverged from the allocator"
+                )
+            if self._free[rack] != self.rack_chips - held:
+                raise AssertionError(f"rack {rack}: free-count drift")
+            if not 0 <= self._circuits_used[rack] <= self.steer_circuits:
+                raise AssertionError(
+                    f"rack {rack}: circuit budget out of range"
+                )
         by_rack_chips = sum(a.chip_count for a in self.allocations.values())
-        assert by_rack_chips == self.occupied_chips(), (
-            "allocation records diverged from occupancy"
-        )
+        if by_rack_chips != self.occupied_chips():
+            raise AssertionError("allocation records diverged from occupancy")

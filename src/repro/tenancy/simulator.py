@@ -25,11 +25,11 @@ deterministic per seed and golden-testable.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 from ..obs.log import INFO as _INFO, NULL_LOG, EventLog
+from ..obs.metrics import nearest_rank
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.engine import EventEngine, SimulationError
 from .cluster import ClusterState
@@ -184,14 +184,6 @@ class TenancyStats:
     stranded_fraction: float
     circuits_peak: int
     series: tuple[tuple[float, float, float, int, int], ...]
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted list (0.0 if empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 class TenancySimulator:
@@ -496,9 +488,9 @@ class TenancySimulator:
             queue_delay_mean_s=(
                 sum(delays) / len(delays) if delays else 0.0
             ),
-            queue_delay_p50_s=_percentile(delays, 0.50),
-            queue_delay_p90_s=_percentile(delays, 0.90),
-            queue_delay_p99_s=_percentile(delays, 0.99),
+            queue_delay_p50_s=nearest_rank(delays, 0.50),
+            queue_delay_p90_s=nearest_rank(delays, 0.90),
+            queue_delay_p99_s=nearest_rank(delays, 0.99),
             queue_delay_max_s=delays[-1] if delays else 0.0,
             rejection_rate=(
                 self._rejected / self._arrivals if self._arrivals else 0.0

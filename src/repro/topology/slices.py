@@ -299,12 +299,14 @@ class SliceAllocator:
 
     rack: Torus
     slices: list[Slice] = field(default_factory=list)
+    # Chips owned by some slice, updated on each allocate and release.
+    _taken: set[Coordinate] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
-    def _occupied(self) -> set[Coordinate]:
-        taken: set[Coordinate] = set()
+    def __post_init__(self) -> None:
         for s in self.slices:
-            taken.update(s.chips())
-        return taken
+            self._taken.update(s.chips())
 
     def allocate(
         self, name: str, shape: tuple[int, ...], offset: Coordinate
@@ -316,14 +318,15 @@ class SliceAllocator:
             SliceOverlapError: if any requested chip is already allocated.
         """
         candidate = Slice(name=name, rack=self.rack, offset=offset, shape=shape)
-        taken = self._occupied()
-        overlap = [chip for chip in candidate.chips() if chip in taken]
+        chips = candidate.chips()
+        overlap = [chip for chip in chips if chip in self._taken]
         if overlap:
             raise SliceOverlapError(
                 f"slice {name} overlaps {len(overlap)} allocated chips, "
                 f"e.g. {overlap[0]}"
             )
         self.slices.append(candidate)
+        self._taken.update(chips)
         return candidate
 
     def allocate_first_fit(self, name: str, shape: tuple[int, ...]) -> Slice:
@@ -341,11 +344,13 @@ class SliceAllocator:
                     f"slice {name} shape {shape} exceeds the rack "
                     f"torus {self.rack.shape}"
                 )
-        taken = self._occupied()
+        taken = self._taken
         for offset in self.rack.nodes():
             candidate = Slice(name=name, rack=self.rack, offset=offset, shape=shape)
-            if all(chip not in taken for chip in candidate.chips()):
+            chips = candidate.chips()
+            if all(chip not in taken for chip in chips):
                 self.slices.append(candidate)
+                taken.update(chips)
                 return candidate
         raise NoContiguousPlacementError(
             f"no contiguous placement for slice {name} of shape {shape}: "
@@ -361,6 +366,7 @@ class SliceAllocator:
         for i, s in enumerate(self.slices):
             if s.name == name:
                 del self.slices[i]
+                self._taken.difference_update(s.chips())
                 return
         raise KeyError(f"no slice named {name!r}")
 
@@ -373,5 +379,4 @@ class SliceAllocator:
 
     def free_chips(self) -> list[Coordinate]:
         """Chips not owned by any slice."""
-        taken = self._occupied()
-        return [chip for chip in self.rack.nodes() if chip not in taken]
+        return [chip for chip in self.rack.nodes() if chip not in self._taken]

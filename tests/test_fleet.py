@@ -1,7 +1,9 @@
 """Tests for repro.fleet: renewal process, policies, simulator, API."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -13,6 +15,8 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.fleet import (
+    FABRICS,
+    POLICY_NAMES,
     BatchedPolicy,
     FleetConfig,
     FleetSimulator,
@@ -23,6 +27,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.sim.engine import EventEngine, SimulationError
+from tests.oracles.fleet import PerChipEventFleetSimulator
 
 YEAR_S = 365.0 * 24.0 * 3600.0
 
@@ -51,6 +56,15 @@ class TestRenewalProcess:
         process = RenewalFailureProcess(8, mtbf_s=1e5, seed=1)
         for chip in range(8):
             assert process.next_delay_s(chip) > 0
+
+    def test_block_draws_equal_scalar_draws(self):
+        # Draws are read from each substream in blocks; across block
+        # boundaries they must equal one scalar draw at a time.
+        process = RenewalFailureProcess(3, mtbf_s=1e5, seed=2)
+        for chip in range(3):
+            stream = np.random.default_rng((2, chip))
+            expected = [float(stream.exponential(1e5)) for _ in range(150)]
+            assert [process.next_delay_s(chip) for _ in range(150)] == expected
 
 
 class TestPolicies:
@@ -207,6 +221,30 @@ class TestSimulator:
         a = simulate_fleet(DENSE, "electrical")
         b = simulate_fleet(DENSE, "electrical")
         assert a.events_processed == b.events_processed > 0
+
+
+# Contended: one migration slot and one spare per rack, so racks wait in
+# the migration queue while their chips keep failing.
+CONTENDED = FleetConfig(
+    racks=4,
+    horizon_s=60 * 24 * 3600.0,
+    mtbf_s=0.05 * YEAR_S,
+    max_concurrent_migrations=1,
+    spare_inventory=1,
+)
+
+
+class TestPerRackScheduling:
+    @pytest.mark.parametrize("fabric", FABRICS)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_chip_events(self, seed, policy, fabric):
+        config = replace(CONTENDED, seed=seed)
+        expected = PerChipEventFleetSimulator(
+            config, fabric, make_policy(policy)
+        ).run()
+        stats = FleetSimulator(config, fabric, make_policy(policy)).run()
+        assert stats == expected
 
 
 class TestFleetPlanSpec:

@@ -1,6 +1,10 @@
 """Tests for repro.tenancy: workload, cluster state, policies, API."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,8 +156,31 @@ class TestClusterState:
         a = cluster.allocate_box("a", (2, 2, 2), 0, (0, 0, 0))
         assert cluster.find_offset(0, (2, 2, 2)) is None
         assert cluster.find_offset(
-            0, (2, 2, 2), ignore=frozenset(a.chips)
+            0, (2, 2, 2), ignore=cluster.chip_mask(a.chips)
         ) == (0, 0, 0)
+
+    def test_corrupt_rack_mask_raises_even_under_optimize(self):
+        # ``python -O`` strips assert statements; the invariant check
+        # raises explicitly, so a corrupted mask is caught either way.
+        script = (
+            "from repro.tenancy import ClusterState\n"
+            "cluster = ClusterState(racks=2)\n"
+            "cluster.allocate_box('a', (2, 2, 1), 1, (0, 0, 0))\n"
+            "cluster.check_consistent()\n"
+            "cluster._masks[1] ^= 1 << 63\n"
+            "try:\n"
+            "    cluster.check_consistent()\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert "rack 1" in result.stdout
 
     def test_steer_rings_upgrades_within_budget(self):
         cluster = ClusterState(racks=1, steer_circuits=8)
@@ -468,8 +495,6 @@ class TestTenancyCli:
         assert "electrical" in out and "photonic" in out
 
     def test_json_matches_golden(self, capsys):
-        from pathlib import Path
-
         golden = Path(__file__).parent / "golden" / "tenancy.json"
         assert main(["tenancy", "--json", "-"]) == 0
         assert capsys.readouterr().out == golden.read_text()

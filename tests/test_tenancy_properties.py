@@ -1,6 +1,6 @@
 """Property-based tests for the tenancy cluster state and defrag policy.
 
-Two guarantees, each over randomized operation sequences:
+Three guarantees, each over randomized operation sequences or states:
 
 1. *Consistency*: any interleaving of box placements, steered placements
    and releases leaves :class:`ClusterState` internally consistent — the
@@ -11,7 +11,13 @@ Two guarantees, each over randomized operation sequences:
    contiguously allocatable), for any reachable cluster state — the
    guarded-move construction, checked against arbitrary histories
    rather than one scripted scenario.
+3. *Placement scan*: the bitmask ``find_offset`` returns what a scan of
+   every candidate box's chips against the taken set returns, on any
+   occupancy, shape and ``ignore`` set — wrap-around boxes and
+   non-cubic racks included.
 """
+
+import itertools
 
 import pytest
 
@@ -26,8 +32,10 @@ from repro.tenancy.policies import CATALOG_SHAPES
 from repro.topology import (
     NoContiguousPlacementError,
     ShapeTooLargeError,
+    SliceOverlapError,
     WavelengthBudgetError,
 )
+from tests.oracles.placement import scan_find_offset, taken_chips
 
 RACKS = 2
 
@@ -142,3 +150,62 @@ class TestDefragMonotonicity:
             cluster.check_consistent()
         # Compaction relocates jobs, never creates or destroys them.
         assert set(cluster.allocations) == set(live)
+
+
+RACK_SHAPES = ((4, 4, 4), (4, 4, 2), (2, 3, 5))
+
+
+@st.composite
+def placement_states(draw):
+    """(rack_shape, boxes, pinned chips, ignore set, probe shape)."""
+    rack_shape = draw(st.sampled_from(RACK_SHAPES))
+    chips = list(itertools.product(*(range(ext) for ext in rack_shape)))
+    extents = st.tuples(*(st.integers(1, ext) for ext in rack_shape))
+    boxes = draw(st.lists(st.tuples(st.sampled_from(chips), extents), max_size=4))
+    pinned = draw(st.lists(st.sampled_from(chips), unique=True, max_size=len(chips)))
+    ignore = draw(st.frozensets(st.sampled_from(chips)))
+    # One past the rack extent exercises the too-large refusal.
+    shape = draw(st.tuples(*(st.integers(1, ext + 1) for ext in rack_shape)))
+    return rack_shape, boxes, pinned, ignore, shape
+
+
+class TestFindOffsetMatchesScan:
+    @given(placement_states())
+    @settings(max_examples=300, deadline=None)
+    def test_bitmask_scan_equals_set_scan(self, state):
+        rack_shape, boxes, pinned, ignore, shape = state
+        cluster = ClusterState(rack_shape=rack_shape, racks=1, steer_circuits=64)
+        for k, (offset, extent) in enumerate(boxes):
+            try:  # boxes may wrap around the torus edges
+                cluster.allocate_box(f"box-{k}", extent, 0, offset)
+            except SliceOverlapError:
+                pass
+        for k, chip in enumerate(pinned):
+            if chip not in taken_chips(cluster, 0):
+                cluster.allocate_steered(f"pin-{k}", (1, 1, 1), 0, chips=(chip,))
+        cluster.check_consistent()
+        for masked in (frozenset(), ignore):
+            try:
+                expected = scan_find_offset(cluster, 0, shape, masked)
+            except ShapeTooLargeError:
+                with pytest.raises(ShapeTooLargeError):
+                    cluster.find_offset(0, shape, ignore=cluster.chip_mask(masked))
+                continue
+            assert cluster.find_offset(
+                0, shape, ignore=cluster.chip_mask(masked)
+            ) == expected
+
+    @given(placement_states(), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_steering_takes_the_first_free_chips(self, state, needed):
+        rack_shape, _, pinned, _, _ = state
+        cluster = ClusterState(rack_shape=rack_shape, racks=1, steer_circuits=64)
+        for k, chip in enumerate(pinned[: len(pinned) // 2]):
+            cluster.allocate_box(f"pin-{k}", (1, 1, 1), 0, chip)
+        taken = taken_chips(cluster, 0)
+        free = [c for c in cluster.racks[0].rack.nodes() if c not in taken]
+        if needed > len(free):
+            return
+        placed = cluster.allocate_steered("s", (1, 1, needed), 0)
+        assert list(placed.chips) == free[:needed]
+        cluster.check_consistent()
