@@ -79,18 +79,10 @@ def code_fingerprint() -> str:
     fingerprint namespaces the disk cache so a version bump invalidates
     every old entry without touching the filesystem. Reads the package
     version lazily so tests (and editable installs) see updates.
-
-    The active kernel backend (:func:`repro.kernels.active_kernel`) is
-    part of the fingerprint: the backends are proven byte-identical, but
-    a result's provenance should still say which code path computed it,
-    and namespacing keeps a regression in one backend from silently
-    serving its results to the other.
     """
     import repro
 
-    from ..kernels import active_kernel
-
-    raw = f"repro-{repro.__version__}-{active_kernel()}"
+    raw = f"repro-{repro.__version__}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
 

@@ -22,7 +22,6 @@ Usage::
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext as _null_context
 from typing import Iterable
 
 from ..analysis.congestion_report import (
@@ -30,7 +29,7 @@ from ..analysis.congestion_report import (
     analyze_rack_congestion,
 )
 from ..analysis.utilization import slice_utilization
-from ..kernels import KERNELS, STATS as _KERNEL_STATS, use_kernel
+from ..kernels import STATS as _KERNEL_STATS
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer
 from ..topology.electrical import ElectricalInterconnect
@@ -61,15 +60,9 @@ class FabricSession:
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             the session reports into (``session.<fabric>.cache_hits``,
             ``.cache_misses`` counters and an ``.eval_seconds``
-            histogram per fabric, plus ``kernel.<backend>.<op>.calls`` /
+            histogram per fabric, plus ``kernel.<op>.calls`` /
             ``.seconds`` counters for kernel hot-path time). ``None``
             reports nothing.
-        kernel: evaluation kernel backend this session's runs use
-            (``"vectorized"`` or ``"reference"``); ``None`` (default)
-            follows the process-wide selection
-            (:func:`repro.kernels.active_kernel`). Results are
-            byte-identical either way — this only pins which code path
-            computes them.
         runtime: optional wall-clock
             :class:`~repro.obs.runtime.RuntimeTracer` the session emits
             cache-probe and evaluation spans into (the serving tier
@@ -81,14 +74,8 @@ class FabricSession:
         self,
         result_cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
-        kernel: str | None = None,
         runtime: RuntimeTracer | None = None,
     ) -> None:
-        if kernel is not None and kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
-        self.kernel = kernel
         self.runtime = runtime if runtime is not None else NULL_RUNTIME_TRACER
         self._backends: dict[str, FabricBackend] = {}
         self._tori: dict[tuple[int, ...], Torus] = {}
@@ -236,20 +223,17 @@ class FabricSession:
             else None
         )
         sections: dict[str, object] = {}
-        with use_kernel(self.kernel) if self.kernel is not None else (
-            _null_context()
-        ):
-            for output in spec.outputs:
-                if output == "utilization":
-                    sections["utilization"] = self._utilization(spec)
-                    continue
-                method = getattr(backend, methods[output], None)
-                if method is None:
-                    raise UnsupportedOutput(
-                        f"backend {spec.fabric!r} does not implement the"
-                        f" {output!r} output"
-                    )
-                sections[output] = method(self, spec)
+        for output in spec.outputs:
+            if output == "utilization":
+                sections["utilization"] = self._utilization(spec)
+                continue
+            method = getattr(backend, methods[output], None)
+            if method is None:
+                raise UnsupportedOutput(
+                    f"backend {spec.fabric!r} does not implement the"
+                    f" {output!r} output"
+                )
+            sections[output] = method(self, spec)
         result = RunResult(spec=spec, fabric=backend.name, **sections)
         elapsed = time.perf_counter() - started
         if runtime.enabled and kernel_before is not None:
@@ -284,7 +268,7 @@ class FabricSession:
         before: dict[str, dict[str, float]]
     ) -> dict[str, float]:
         """Per-op kernel time spent since ``before``, as flat span args
-        (``kernel.<backend>.<op>.calls`` / ``.seconds``)."""
+        (``kernel.<op>.calls`` / ``.seconds``)."""
         deltas: dict[str, float] = {}
         for key, after in _KERNEL_STATS.snapshot().items():
             prior = before.get(key, {"calls": 0, "seconds": 0.0})

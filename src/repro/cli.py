@@ -38,7 +38,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import api, kernels
+from . import api
 from .analysis.tables import cost_row, render_histogram, render_table
 from .analysis.trace_summary import render_trace_summary
 from .analysis.utilization import compare_link_utilization, dimension_utilization
@@ -776,13 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {_package_version()}"
     )
-    parser.add_argument(
-        "--kernel",
-        choices=kernels.KERNELS,
-        default=None,
-        help="evaluation kernel backend (default: $REPRO_KERNEL, else "
-        f"{kernels.DEFAULT_KERNEL}); results are byte-identical either way",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("capabilities", help="Section 3 capability report")
@@ -1119,10 +1112,6 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.kernel is not None:
-        # Exported via the environment so sweep worker processes inherit
-        # the selection too.
-        kernels.set_default_kernel(args.kernel)
     try:
         return _HANDLERS[args.command](args)
     except (KeyError, ValueError, api.UnsupportedOutput) as exc:

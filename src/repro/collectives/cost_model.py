@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ..kernels.stagecosts import bucket_stage_arrays
 from ..phy.constants import CHIP_EGRESS_BYTES, DEFAULT_ALPHA_S, RECONFIG_LATENCY_S
 
 __all__ = [
@@ -165,38 +166,19 @@ def _bucket_stages(
     dimension sequentially; after the stage over a dimension of size
     ``p_d`` the live buffer shrinks by ``p_d`` (Table 2's N then N/4).
 
-    Dispatches to the vectorized all-stages-at-once kernel
-    (:func:`repro.kernels.stagecosts.bucket_stage_arrays`) unless the
-    reference backend is selected; both produce bit-identical costs.
+    All stages are computed at once by
+    :func:`repro.kernels.stagecosts.bucket_stage_arrays`.
     """
     if not dims:
         raise ValueError("need at least one dimension")
     if any(d < 2 for d in dims):
         raise ValueError(f"bucket dimensions must have >= 2 chips, got {dims}")
     _check_ring(max(dims), bandwidth_fraction)
-    from ..kernels import active_kernel
-
-    if active_kernel() == "vectorized":
-        from ..kernels.stagecosts import bucket_stage_arrays
-
-        alphas, fractions, betas = bucket_stage_arrays(
-            tuple(dims), bandwidth_fraction
-        )
-        return [
-            (p, fraction, CollectiveCost(alpha_count=alpha, beta_factor=beta))
-            for p, alpha, fraction, beta in zip(dims, alphas, fractions, betas)
-        ]
-    stages = []
-    buffer_fraction = 1.0
-    for p in dims:
-        base = ring_reduce_scatter(p, bandwidth_fraction)
-        scaled = CollectiveCost(
-            alpha_count=base.alpha_count,
-            beta_factor=base.beta_factor * buffer_fraction,
-        )
-        stages.append((p, buffer_fraction, scaled))
-        buffer_fraction /= p
-    return stages
+    alphas, fractions, betas = bucket_stage_arrays(tuple(dims), bandwidth_fraction)
+    return [
+        (p, fraction, CollectiveCost(alpha_count=alpha, beta_factor=beta))
+        for p, alpha, fraction, beta in zip(dims, alphas, fractions, betas)
+    ]
 
 
 def bucket_reduce_scatter(

@@ -18,8 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.repair import broken_rings
+from ..kernels import STATS
+from ..kernels.paths import (
+    evaluate_all_free_chips_vectorized,
+    evaluate_free_chip_vectorized,
+)
 from ..topology.slices import Slice, SliceAllocator
 from ..topology.torus import Coordinate, Link, Torus
+from .inject import InvalidChipError
 
 __all__ = [
     "ReplacementPath",
@@ -86,6 +92,11 @@ class ElectricalRecoveryAnalysis:
         max_hops: int = 6,
         dims_per_slice: dict[str, list[int]] | None = None,
     ):
+        if allocator.rack.shape != torus.shape:
+            raise ValueError(
+                f"allocator rack {allocator.rack.shape} does not match the "
+                f"analysed torus {torus.shape}"
+            )
         self.torus = torus
         self.allocator = allocator
         self.max_hops = max_hops
@@ -157,15 +168,11 @@ class ElectricalRecoveryAnalysis:
                     endpoints.append(chip)
         return endpoints
 
-    def _use_path_kernel(self, slc: Slice, failed: Coordinate) -> bool:
-        """Whether the vectorized index-space repair kernel applies."""
-        from ..kernels import active_kernel
-
-        return (
-            active_kernel() == "vectorized"
-            and slc.rack.shape == self.torus.shape
-            and self.torus.contains(failed)
-        )
+    def _require_in_torus(self, failed: Coordinate) -> None:
+        if not self.torus.contains(failed):
+            raise InvalidChipError(
+                f"failed chip {failed} is outside the torus {self.torus.shape}"
+            )
 
     def evaluate_free_chip(
         self,
@@ -181,109 +188,40 @@ class ElectricalRecoveryAnalysis:
         the fewest in-use links. The attempt is feasible only if every
         endpoint found a congestion-free path and the chosen paths are
         mutually link-disjoint (they will carry traffic simultaneously).
+        The search runs in index space
+        (:func:`repro.kernels.paths.evaluate_free_chip_vectorized`).
 
-        Dispatches to the index-space kernel
-        (:func:`repro.kernels.paths.evaluate_free_chip_vectorized`)
-        unless the reference backend is selected; results are identical.
+        Raises:
+            InvalidChipError: for a failed chip outside the torus.
+            ValueError: when ``free_chip`` is the failed chip itself.
         """
-        from ..kernels import STATS
-
-        if free_chip != failed and self._use_path_kernel(slc, failed):
-            from ..kernels.paths import evaluate_free_chip_vectorized
-
-            with STATS.timed("repair"):
-                return evaluate_free_chip_vectorized(
-                    self, slc, failed, free_chip, extra_busy
-                )
+        self._require_in_torus(failed)
+        if free_chip == failed:
+            raise ValueError(
+                f"free chip {free_chip} is the failed chip; a failed chip "
+                "cannot replace itself"
+            )
         with STATS.timed("repair"):
-            return self._evaluate_free_chip_reference(
-                slc, failed, free_chip, extra_busy
+            return evaluate_free_chip_vectorized(
+                self, slc, failed, free_chip, extra_busy
             )
-
-    def _evaluate_free_chip_reference(
-        self,
-        slc: Slice,
-        failed: Coordinate,
-        free_chip: Coordinate,
-        extra_busy: set[Link] | None = None,
-    ) -> ReplacementAttempt:
-        """Pure-python replacement-path search (the reference backend)."""
-        busy = self.busy_links(exclude=slc)
-        busy |= self.surviving_ring_links(slc, failed)
-        if extra_busy:
-            busy |= set(extra_busy)
-        attempts: list[ReplacementPath] = []
-        chosen_links: set[Link] = set()
-        feasible = True
-        for endpoint in self.required_endpoints(slc, failed):
-            blocked = busy | chosen_links
-            # Fast path: BFS that never touches an in-use link. If it
-            # succeeds the endpoint has a congestion-free route.
-            clean = self.torus.shortest_path(
-                endpoint,
-                free_chip,
-                forbidden_nodes={failed},
-                forbidden_links=blocked,
-            )
-            if clean is not None:
-                best = ReplacementPath(
-                    endpoint=endpoint, path=tuple(clean), congested_links=()
-                )
-            else:
-                # Exhaustive bounded search for the least-congested path —
-                # the evidence Figure 6a presents.
-                best = None
-                for path in self.torus.all_paths(
-                    endpoint, free_chip, self.max_hops, forbidden_nodes={failed}
-                ):
-                    links = self.torus.path_links(path)
-                    congested = tuple(lnk for lnk in links if lnk in blocked)
-                    candidate = ReplacementPath(
-                        endpoint=endpoint,
-                        path=tuple(path),
-                        congested_links=congested,
-                    )
-                    if best is None or len(candidate.congested_links) < len(
-                        best.congested_links
-                    ):
-                        best = candidate
-            if best is None:
-                feasible = False
-                best = ReplacementPath(
-                    endpoint=endpoint, path=(endpoint,), congested_links=()
-                )
-            else:
-                if not best.is_congestion_free:
-                    feasible = False
-                chosen_links.update(self.torus.path_links(list(best.path)))
-            attempts.append(best)
-        return ReplacementAttempt(
-            free_chip=free_chip, best_paths=tuple(attempts), feasible=feasible
-        )
 
     def evaluate_all_free_chips(
         self, slc: Slice, failed: Coordinate
     ) -> list[ReplacementAttempt]:
         """Evaluate every free chip in the allocator as the replacement.
 
-        Under the vectorized kernel the busy/surviving link masks and the
-        per-endpoint path enumerations are computed once and shared
-        across all candidates (the attempts are independent, so sharing
-        changes nothing but the wall clock).
+        The busy/surviving link masks and the per-endpoint path
+        enumerations are computed once and shared across all candidates
+        (the attempts are independent, so sharing changes nothing but
+        the wall clock).
+
+        Raises:
+            InvalidChipError: for a failed chip outside the torus.
         """
-        from ..kernels import STATS
-
-        if self._use_path_kernel(slc, failed):
-            from ..kernels.paths import evaluate_all_free_chips_vectorized
-
-            with STATS.timed("repair"):
-                return evaluate_all_free_chips_vectorized(self, slc, failed)
+        self._require_in_torus(failed)
         with STATS.timed("repair"):
-            return [
-                self._evaluate_free_chip_reference(slc, failed, free_chip)
-                for free_chip in self.allocator.free_chips()
-                if free_chip != failed
-            ]
+            return evaluate_all_free_chips_vectorized(self, slc, failed)
 
     def congestion_free_replacement_exists(
         self, slc: Slice, failed: Coordinate

@@ -1,115 +1,31 @@
-"""Vectorized evaluation kernels and their selection machinery.
+"""Vectorized evaluation kernels and their time accounting.
 
 The evaluation hot path (max-min water-filling, repair-path search, ring
-stage costs, telemetry aggregation) exists twice: the original pure-python
-implementations — retained verbatim as the ``reference`` backend — and
-numpy rewrites over flows×links incidence arrays (the ``vectorized``
-backend, the default). The two are *bit-identical by construction*: every
-floating-point operation is performed on the same operands in the same
-order, so goldens, spec keys, telemetry records and trace exports do not
-change with the backend (enforced by the byte-identity CI job and the
-hypothesis property tests).
-
-Selection, in priority order:
-
-1. :func:`use_kernel` — a context manager scoping an override,
-2. the ``REPRO_KERNEL`` environment variable (inherited by sweep worker
-   processes, which is how :func:`set_default_kernel` propagates across
-   a ``ProcessPoolExecutor``),
-3. the built-in default, ``vectorized``.
-
-The active kernel name is part of :func:`repro.api.cache.code_fingerprint`
-so on-disk result caches never mix entries produced by different
-implementations (they are proven identical, but provenance stays clean).
+stage costs, telemetry aggregation) runs as numpy code over flows×links
+incidence arrays. Each kernel performs the same floating-point
+operations on the same operands in the same order as the straightforward
+loop it replaced, so its results are bit-identical to that loop. The
+loops live on as test oracles under ``tests/oracles/``, where property
+tests assert exact equality against them.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = [
-    "KERNELS",
-    "DEFAULT_KERNEL",
-    "KERNEL_ENV_VAR",
-    "active_kernel",
-    "set_default_kernel",
-    "use_kernel",
-    "KernelStats",
-    "STATS",
-]
-
-#: Recognized kernel backends.
-KERNELS = ("reference", "vectorized")
-
-#: Backend used when neither an override nor the env var is set.
-DEFAULT_KERNEL = "vectorized"
-
-#: Environment variable naming the process-wide default backend. Set via
-#: :func:`set_default_kernel` (or exported by the user); sweep worker
-#: processes inherit it, so a parent's choice governs the whole pool.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-# Stack of scoped overrides (innermost last). The simulator and sessions
-# are single-threaded per process, so a plain list suffices.
-_OVERRIDES: list[str] = []
-
-
-def _validate(name: str) -> str:
-    if name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {', '.join(KERNELS)}"
-        )
-    return name
-
-
-def active_kernel() -> str:
-    """The kernel backend the dispatchers use right now.
-
-    Raises:
-        ValueError: when ``REPRO_KERNEL`` names an unknown backend —
-            silently falling back would defeat the point of selecting a
-            backend explicitly.
-    """
-    if _OVERRIDES:
-        return _OVERRIDES[-1]
-    env = os.environ.get(KERNEL_ENV_VAR)
-    if env is None:
-        return DEFAULT_KERNEL
-    return _validate(env)
-
-
-def set_default_kernel(name: str) -> None:
-    """Set the process-wide default backend (and export it to children).
-
-    Writing ``REPRO_KERNEL`` rather than a module global is deliberate:
-    sweep worker processes are spawned with a copy of ``os.environ``, so
-    the choice made in the parent CLI/session governs every worker.
-    """
-    os.environ[KERNEL_ENV_VAR] = _validate(name)
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[str]:
-    """Scope a kernel override to a ``with`` block (re-entrant)."""
-    _validate(name)
-    _OVERRIDES.append(name)
-    try:
-        yield name
-    finally:
-        _OVERRIDES.pop()
+__all__ = ["KernelStats", "STATS"]
 
 
 class KernelStats:
-    """Per-(kernel, op) call counters and accumulated seconds.
+    """Per-op call counters and accumulated seconds.
 
-    The process-wide :data:`STATS` instance is fed by the dispatchers;
-    :class:`~repro.api.session.FabricSession` snapshots it around each
-    evaluation and reports the deltas into its metrics registry
-    (``kernel.<backend>.<op>.calls`` / ``.seconds``). Timing is
-    observability only — it never influences results.
+    The process-wide :data:`STATS` instance is fed by the kernel call
+    sites; :class:`~repro.api.session.FabricSession` snapshots it around
+    each evaluation and reports the deltas into its metrics registry
+    (``kernel.<op>.calls`` / ``.seconds``). Timing is observability
+    only — it never influences results.
     """
 
     __slots__ = ("calls", "seconds")
@@ -118,27 +34,25 @@ class KernelStats:
         self.calls: dict[str, int] = {}
         self.seconds: dict[str, float] = {}
 
-    def record(self, op: str, elapsed_s: float, kernel: str | None = None) -> None:
+    def record(self, op: str, elapsed_s: float) -> None:
         """Charge one call of ``op`` (``elapsed_s`` wall seconds)."""
-        key = f"{kernel if kernel is not None else active_kernel()}.{op}"
-        self.calls[key] = self.calls.get(key, 0) + 1
-        self.seconds[key] = self.seconds.get(key, 0.0) + elapsed_s
+        self.calls[op] = self.calls.get(op, 0) + 1
+        self.seconds[op] = self.seconds.get(op, 0.0) + elapsed_s
 
     @contextmanager
     def timed(self, op: str) -> Iterator[None]:
-        """Time a block and charge it to ``op`` under the active kernel."""
-        kernel = active_kernel()
+        """Time a block and charge it to ``op``."""
         started = time.perf_counter()
         try:
             yield
         finally:
-            self.record(op, time.perf_counter() - started, kernel=kernel)
+            self.record(op, time.perf_counter() - started)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
-        """JSON-safe ``{"<kernel>.<op>": {"calls": n, "seconds": s}}``."""
+        """JSON-safe ``{"<op>": {"calls": n, "seconds": s}}``."""
         return {
-            key: {"calls": self.calls[key], "seconds": self.seconds[key]}
-            for key in sorted(self.calls)
+            op: {"calls": self.calls[op], "seconds": self.seconds[op]}
+            for op in sorted(self.calls)
         }
 
     def reset(self) -> None:

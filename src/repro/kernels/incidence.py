@@ -23,7 +23,7 @@ class LinkSpace:
 
     Built from a capacity mapping; the index order is the mapping's
     iteration (insertion) order, which is what makes index-space
-    reductions reproduce the reference implementation's dict-iteration
+    reductions reproduce the dict-based oracle loops' iteration
     tie-breaks exactly.
 
     Attributes:

@@ -13,13 +13,13 @@ link ids:
   construction;
 * simple paths are enumerated once per (endpoint, failed chip) by
   breadth-wise frontier expansion and *shared across every candidate
-  free chip* (the reference re-enumerates per free chip — the paths do
-  not depend on the destination, only the tail filter does);
-* the reference's "first strict minimum in DFS yield order" selection is
-  reproduced exactly: DFS preorder equals lexicographic order of the
-  paths' neighbor-slot sequences (for a fixed destination no candidate
-  is a prefix of another, since a simple path only touches the
-  destination at its tail), so a single ``lexsort`` assigns every
+  free chip* (the coordinate search re-enumerates per free chip — the
+  paths do not depend on the destination, only the tail filter does);
+* the coordinate search's "first strict minimum in DFS yield order"
+  selection is reproduced exactly: DFS preorder equals lexicographic
+  order of the paths' neighbor-slot sequences (for a fixed destination
+  no candidate is a prefix of another, since a simple path only touches
+  the destination at its tail), so a single ``lexsort`` assigns every
   enumerated path its DFS rank and the winner is the minimum of
   ``(congested-link count, rank)``.
 
@@ -176,7 +176,7 @@ class TorusKernel:
         The result is destination-agnostic: filtering on a path's tail
         yields exactly :meth:`Torus.all_paths`'s set for that
         destination (paths through the destination are excluded by the
-        tail filter itself, mirroring the reference's stop-at-dst rule).
+        tail filter itself, mirroring :meth:`Torus.all_paths`'s stop-at-dst rule).
         """
         nodes = np.array([[src]], dtype=np.intp)
         slots = np.empty((1, 0), dtype=np.intp)
@@ -246,7 +246,7 @@ class PathSet:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """The least-congested path ending at ``dst``.
 
-        Returns ``(node_ids, link_ids)`` of the path the reference's
+        Returns ``(node_ids, link_ids)`` of the path the coordinate search's
         first-strict-min scan would keep, or ``None`` when no enumerated
         path reaches ``dst``.
         """
@@ -415,8 +415,8 @@ def evaluate_all_free_chips_vectorized(
 
     The busy/surviving masks and the per-endpoint path enumerations are
     computed once and shared across all candidate free chips — the
-    reference recomputes them per chip, which is where most of the cold
-    repair-grid time went.
+    coordinate search recomputes them per chip, which is where most of
+    the cold repair-grid time went.
     """
     kernel = torus_kernel(analysis.torus.shape)
     busy_mask = _busy_mask(analysis, kernel, exclude=slc)

@@ -1,9 +1,9 @@
 """Vectorized bucket stage-cost computation.
 
 All stages of the multi-dimensional bucket algorithm are computed at once
-as array expressions. Bit-identity with the reference loop in
-:func:`repro.collectives.cost_model._bucket_stages` hinges on the buffer
-fractions: the reference divides sequentially (``b /= p`` per stage), so
+as array expressions. Bit-identity with the scalar per-stage loop (kept as
+a test oracle in ``tests/oracles/kernels.py``) hinges on the buffer
+fractions: the loop divides sequentially (``b /= p`` per stage), so
 they are reproduced with ``np.divide.accumulate`` — the same chain of
 float64 divisions — never a reciprocal ``cumprod``, which rounds
 differently.
@@ -41,10 +41,10 @@ def bucket_stage_arrays(
     """
     p = np.asarray(dims, dtype=np.float64)
     # (p - 1) / p / f, elementwise: the same two float64 divisions the
-    # scalar reference performs per stage.
+    # scalar loop performs per stage.
     base_beta = (p - 1.0) / p / bandwidth_fraction
     # Buffer fractions 1, 1/p0, (1/p0)/p1, ...: divide.accumulate over
-    # [1, p0, p1, ...] replays the reference's sequential divisions.
+    # [1, p0, p1, ...] replays the loop's sequential divisions.
     chain = np.empty(p.size, dtype=np.float64)
     chain[0] = 1.0
     chain[1:] = p[:-1]

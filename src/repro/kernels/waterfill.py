@@ -1,14 +1,14 @@
 """Vectorized max-min fair progressive filling.
 
-Numpy rewrite of :func:`repro.sim.flows.max_min_rates_reference` over the
-CSR incidence of :mod:`repro.kernels.incidence`. Bit-identical to the
-reference by construction:
+Progressive filling over the CSR incidence of
+:mod:`repro.kernels.incidence`. Bit-identical by construction to the
+dict-based loop kept as a test oracle (``tests/oracles/kernels.py``):
 
 * per-link user counts are a ``bincount`` over the concatenated link
   indices of the unfrozen flows *in flow-insertion order* — the same
-  first-seen order the reference's ``link_users`` dict iterates in;
+  first-seen order the oracle's ``link_users`` dict iterates in;
 * the bottleneck is the minimum share with ties broken by smallest
-  first-occurrence position, exactly the reference's strict ``<`` scan;
+  first-occurrence position, exactly the oracle's strict ``<`` scan;
 * every capacity debit is the same sequence of ``x - rate`` /
   ``max(x, 0.0)`` float64 operations, flow by flow, per link occurrence
   (``np.subtract.at`` is an ordered, unbuffered loop), never a fused or
@@ -19,23 +19,18 @@ reference by construction:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
-
 import numpy as np
 
-from .incidence import FlowIncidence, LinkSpace
+from .incidence import FlowIncidence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.flows import Flow
-
-__all__ = ["waterfill_rates", "max_min_rates_vectorized"]
+__all__ = ["waterfill_rates"]
 
 
 def _debit(remaining: np.ndarray, idx: np.ndarray, rate: float) -> None:
     """Subtract ``rate`` per link occurrence of one frozen flow, clamped.
 
     For duplicate-free ``idx`` (the common case) a gather/scatter equals
-    the reference's per-occurrence subtract-then-clamp. With duplicates,
+    the oracle's per-occurrence subtract-then-clamp. With duplicates,
     ``np.subtract.at`` applies the occurrences sequentially; clamping
     once afterwards is still identical because a mid-sequence clamp only
     fires when the unclamped running value is already negative — both
@@ -102,7 +97,7 @@ def waterfill_rates(
             bottleneck = candidates[0]
         share = float(bottleneck_share)
         # Demand caps below the bottleneck share freeze first, exactly as
-        # in the reference (NaN demands compare False).
+        # in the oracle (NaN demands compare False).
         active_idx = np.flatnonzero(active)
         capped = active_idx[demands[active_idx] < bottleneck_share]
         if capped.size:
@@ -117,48 +112,4 @@ def waterfill_rates(
             rates[f] = share
             _debit(remaining, flow_links[f], share)
         active[frozen_now] = False
-    return rates
-
-
-def max_min_rates_vectorized(
-    flows: "list[Flow]", capacity_bytes_per_s: dict[Hashable, float]
-) -> dict[Hashable, float]:
-    """Drop-in vectorized :func:`repro.sim.flows.max_min_rates`.
-
-    Performs the reference's validation (same exceptions, same messages,
-    same order), converts links to index space, runs
-    :func:`waterfill_rates`, and writes rates back to the flow objects.
-    """
-    for link, cap in capacity_bytes_per_s.items():
-        if cap <= 0:
-            raise ValueError(f"link {link!r} has non-positive capacity {cap}")
-    active = list(flows)
-    for flow in active:
-        for link in flow.links:
-            if link not in capacity_bytes_per_s:
-                raise KeyError(
-                    f"flow {flow.flow_id!r} uses unknown link {link!r}"
-                )
-        demand = flow.demand_bytes_per_s
-        if demand is not None and demand <= 0:
-            raise ValueError(
-                f"flow {flow.flow_id!r} has a non-positive demand cap "
-                f"({demand}) and can never make progress; the link "
-                "capacities are not at fault"
-            )
-    space = LinkSpace(capacity_bytes_per_s)
-    incidence = FlowIncidence([space.indices(f.links) for f in active])
-    demands = np.fromiter(
-        (
-            np.nan if f.demand_bytes_per_s is None else f.demand_bytes_per_s
-            for f in active
-        ),
-        dtype=np.float64,
-        count=len(active),
-    )
-    rate_list = waterfill_rates(space.caps, incidence, demands).tolist()
-    rates: dict[Hashable, float] = {}
-    for flow, rate in zip(active, rate_list):
-        flow.rate_bytes_per_s = rate
-        rates[flow.flow_id] = rate
     return rates

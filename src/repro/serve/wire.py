@@ -19,6 +19,7 @@ from typing import Any
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_HEADERS",
     "PRIORITIES",
     "DEFAULT_PRIORITY",
     "PRIORITY_HEADER",
@@ -38,6 +39,11 @@ __all__ = [
 #: Largest request body the server will read (a ScenarioSpec is ~1 KiB;
 #: anything near this limit is not a spec).
 MAX_BODY_BYTES = 4 << 20
+
+#: Most header lines one request (or worker response) may carry. Every
+#: header this stack reads is among the first dozen; a peer sending more
+#: than this is not speaking to us in good faith.
+MAX_HEADERS = 100
 
 #: Request-priority classes, most-protected first. ``interactive``
 #: requests are admitted up to the full queue limit; ``batch`` requests
@@ -76,6 +82,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     502: "Bad Gateway",
     503: "Service Unavailable",
@@ -140,6 +147,40 @@ class Request:
             raise ProtocolError(400, f"request body is not JSON: {exc}") from exc
 
 
+async def _read_headers(
+    reader: asyncio.StreamReader,
+    *,
+    malformed: int,
+    too_large: int,
+    source: str,
+) -> dict[str, str]:
+    """Header fields up to the blank line, names lower-cased.
+
+    ``StreamReader.readline`` raises ``ValueError`` for a line longer
+    than the reader's buffer limit (64 KiB by default).
+
+    Raises:
+        ProtocolError: with ``malformed`` for a line without a colon, and
+            with ``too_large`` for an over-long line or more than
+            :data:`MAX_HEADERS` lines.
+    """
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        try:
+            raw = await reader.readline()
+        except ValueError as exc:
+            raise ProtocolError(
+                too_large, f"header line{source} too long: {exc}"
+            ) from None
+        if raw in (b"\r\n", b"\n", b""):
+            return headers
+        name, sep, value = raw.decode("latin-1").partition(":")
+        if not sep:
+            raise ProtocolError(malformed, f"malformed header line{source}: {raw!r}")
+        headers[name.strip().lower()] = value.strip()
+    raise ProtocolError(too_large, f"more than {MAX_HEADERS} header lines{source}")
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body: int = MAX_BODY_BYTES
 ) -> Request | None:
@@ -150,28 +191,24 @@ async def read_request(
         connection before sending a request line.
 
     Raises:
-        ProtocolError: on a malformed request line or header, or a body
-            beyond ``max_body`` (status 413).
+        ProtocolError: on a malformed or over-long request line (400), a
+            malformed header (400), an over-long header line or more
+            than :data:`MAX_HEADERS` headers (431), or a body beyond
+            ``max_body`` (413).
     """
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError) as exc:
+    except ConnectionError as exc:
         raise ProtocolError(400, f"unreadable request line: {exc}") from exc
+    except ValueError as exc:  # longer than the reader's buffer limit
+        raise ProtocolError(400, f"request line too long: {exc}") from None
     if not line.strip():
         return None
     parts = line.decode("latin-1").split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise ProtocolError(400, f"malformed request line: {line!r}")
     method, path, _version = parts
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise ProtocolError(400, f"malformed header line: {raw!r}")
-        headers[name.strip().lower()] = value.strip()
+    headers = await _read_headers(reader, malformed=400, too_large=431, source="")
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -200,10 +237,16 @@ async def read_response(
         emits carries one — see :func:`response_bytes`).
 
     Raises:
-        ProtocolError: on a malformed status line, header, or body
-            length (status 502 — the upstream worker misbehaved).
+        ProtocolError: on a malformed or over-long status line or header,
+            more than :data:`MAX_HEADERS` headers, or a bad body length
+            (status 502 — the upstream worker misbehaved).
     """
-    line = await reader.readline()
+    try:
+        line = await reader.readline()
+    except ValueError as exc:  # longer than the reader's buffer limit
+        raise ProtocolError(
+            502, f"status line from worker too long: {exc}"
+        ) from None
     parts = line.decode("latin-1").split(maxsplit=2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise ProtocolError(502, f"malformed status line from worker: {line!r}")
@@ -213,15 +256,9 @@ async def read_response(
         raise ProtocolError(
             502, f"malformed status code from worker: {parts[1]!r}"
         ) from None
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise ProtocolError(502, f"malformed header from worker: {raw!r}")
-        headers[name.strip().lower()] = value.strip()
+    headers = await _read_headers(
+        reader, malformed=502, too_large=502, source=" from worker"
+    )
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:

@@ -14,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from ..kernels import STATS, active_kernel
+import numpy as np
 
-__all__ = ["Flow", "max_min_rates", "max_min_rates_reference"]
+from ..kernels import STATS
+from ..kernels.incidence import FlowIncidence, LinkSpace
+from ..kernels.waterfill import waterfill_rates
+
+__all__ = ["Flow", "max_min_rates"]
 
 
 @dataclass
@@ -54,10 +58,10 @@ def max_min_rates(
 ) -> dict[Hashable, float]:
     """Compute max-min fair rates for ``flows`` over shared links.
 
-    Dispatches to the active kernel backend (see :mod:`repro.kernels`):
-    the numpy incidence-matrix rewrite by default, or this module's
-    :func:`max_min_rates_reference` under ``REPRO_KERNEL=reference``.
-    The two are bit-identical on every input.
+    Converts links to a dense index space and runs the numpy
+    progressive-filling kernel
+    (:func:`repro.kernels.waterfill.waterfill_rates`). Bottleneck ties
+    break in flow-input order, so the result is deterministic.
 
     Args:
         flows: active flows; each must only reference links present in
@@ -76,100 +80,41 @@ def max_min_rates(
             it for everyone else).
     """
     with STATS.timed("waterfill"):
-        if active_kernel() == "vectorized":
-            from ..kernels.waterfill import max_min_rates_vectorized
-
-            return max_min_rates_vectorized(flows, capacity_bytes_per_s)
-        return max_min_rates_reference(flows, capacity_bytes_per_s)
-
-
-def max_min_rates_reference(
-    flows: list[Flow], capacity_bytes_per_s: dict[Hashable, float]
-) -> dict[Hashable, float]:
-    """Pure-python progressive filling — the retained reference backend.
-
-    Same contract as :func:`max_min_rates`; kept loop-for-loop as the
-    executable specification the vectorized kernel is proven against.
-    """
-    for link, cap in capacity_bytes_per_s.items():
-        if cap <= 0:
-            raise ValueError(f"link {link!r} has non-positive capacity {cap}")
-    active = list(flows)
-    for flow in active:
-        for link in flow.links:
-            if link not in capacity_bytes_per_s:
-                raise KeyError(f"flow {flow.flow_id!r} uses unknown link {link!r}")
-        # Flows are mutable (rates are written back), so a cap zeroed after
-        # construction bypasses Flow's own validation. Catch it here with
-        # an accurate diagnosis instead of letting progressive filling
-        # freeze the flow at a zero rate and blame the link capacities.
-        demand = flow.demand_bytes_per_s
-        if demand is not None and demand <= 0:
-            raise ValueError(
-                f"flow {flow.flow_id!r} has a non-positive demand cap "
-                f"({demand}) and can never make progress; the link "
-                "capacities are not at fault"
-            )
-    remaining_cap = dict(capacity_bytes_per_s)
-    # Insertion-ordered (dict keys, not a set) so the bottleneck tie-break
-    # and freeze order are deterministic in flow-input order — the same
-    # order the vectorized kernel reproduces bit-for-bit.
-    unfrozen: dict[Hashable, None] = {f.flow_id: None for f in active}
-    rates: dict[Hashable, float] = {f.flow_id: 0.0 for f in active}
-    by_id = {f.flow_id: f for f in active}
-
-    # Freeze demand-capped flows whose cap is below their fair share as we
-    # go; progressive filling terminates in at most len(flows) rounds.
-    for _ in range(len(active) + len(remaining_cap) + 1):
-        if not unfrozen:
-            break
-        # Share each link's remaining capacity among its unfrozen flows.
-        link_users: dict[Hashable, int] = {}
-        for fid in unfrozen:
-            for link in by_id[fid].links:
-                link_users[link] = link_users.get(link, 0) + 1
-        bottleneck_share = None
-        bottleneck_link = None
-        for link, users in link_users.items():
-            share = remaining_cap[link] / users
-            if bottleneck_share is None or share < bottleneck_share:
-                bottleneck_share = share
-                bottleneck_link = link
-        if bottleneck_share is None:
-            break
-        # Demand caps below the bottleneck share freeze first.
-        capped = [
-            fid
-            for fid in unfrozen
-            if by_id[fid].demand_bytes_per_s is not None
-            and by_id[fid].demand_bytes_per_s < bottleneck_share
-        ]
-        if capped:
-            # Every capped demand is strictly below the bottleneck share,
-            # which is itself at most remaining/users on every link the
-            # flow crosses — so freezing them cannot oversubscribe any
-            # link. The clamp below only absorbs float dust from the
-            # subtractions; it must never hide a real deficit (positive
-            # caps are enforced above, so it cannot).
-            for fid in capped:
-                flow = by_id[fid]
-                rates[fid] = float(flow.demand_bytes_per_s)
-                for link in flow.links:
-                    remaining_cap[link] -= rates[fid]
-                    remaining_cap[link] = max(remaining_cap[link], 0.0)
-                del unfrozen[fid]
-            continue
-        # Freeze every unfrozen flow crossing the bottleneck at the share.
-        frozen_now = [
-            fid for fid in unfrozen if bottleneck_link in by_id[fid].links
-        ]
-        for fid in frozen_now:
-            rates[fid] = bottleneck_share
-            flow = by_id[fid]
+        for link, cap in capacity_bytes_per_s.items():
+            if cap <= 0:
+                raise ValueError(f"link {link!r} has non-positive capacity {cap}")
+        active = list(flows)
+        for flow in active:
             for link in flow.links:
-                remaining_cap[link] -= bottleneck_share
-                remaining_cap[link] = max(remaining_cap[link], 0.0)
-            del unfrozen[fid]
-    for flow in active:
-        flow.rate_bytes_per_s = rates[flow.flow_id]
-    return rates
+                if link not in capacity_bytes_per_s:
+                    raise KeyError(
+                        f"flow {flow.flow_id!r} uses unknown link {link!r}"
+                    )
+            # Flows are mutable (rates are written back), so a cap zeroed
+            # after construction bypasses Flow's own validation. Catch it
+            # here with an accurate diagnosis instead of letting
+            # progressive filling freeze the flow at a zero rate and blame
+            # the link capacities.
+            demand = flow.demand_bytes_per_s
+            if demand is not None and demand <= 0:
+                raise ValueError(
+                    f"flow {flow.flow_id!r} has a non-positive demand cap "
+                    f"({demand}) and can never make progress; the link "
+                    "capacities are not at fault"
+                )
+        space = LinkSpace(capacity_bytes_per_s)
+        incidence = FlowIncidence([space.indices(f.links) for f in active])
+        demands = np.fromiter(
+            (
+                np.nan if f.demand_bytes_per_s is None else f.demand_bytes_per_s
+                for f in active
+            ),
+            dtype=np.float64,
+            count=len(active),
+        )
+        rate_list = waterfill_rates(space.caps, incidence, demands).tolist()
+        rates: dict[Hashable, float] = {}
+        for flow, rate in zip(active, rate_list):
+            flow.rate_bytes_per_s = rate
+            rates[flow.flow_id] = rate
+        return rates

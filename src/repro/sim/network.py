@@ -14,12 +14,12 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from ..kernels import STATS, active_kernel
+from ..kernels import STATS
 from ..kernels.incidence import FlowIncidence, LinkSpace
 from ..kernels.waterfill import waterfill_rates
 from ..obs.tracer import NULL_TRACER, Tracer
 from .engine import EventEngine, SimulationError
-from .flows import Flow, max_min_rates
+from .flows import Flow
 
 __all__ = ["FlowNetwork", "FlowRecord"]
 
@@ -76,10 +76,10 @@ class FlowNetwork:
         self._records: list[FlowRecord] = []
         self._completion_events: dict[Hashable, object] = {}
         self._last_update_s = engine.now_s
-        # Vectorized-kernel state: the link index space and the per-flow
-        # link-index arrays, built lazily and only on the vectorized
-        # path. A flow's links are converted to indices once at first
-        # sight instead of hashing every link on every rebalance.
+        # Kernel state: the link index space and the per-flow link-index
+        # arrays, built lazily. A flow's links are converted to indices
+        # once at first sight instead of hashing every link on every
+        # rebalance.
         self._link_space: LinkSpace | None = None
         self._flow_indices: dict[Hashable, np.ndarray] = {}
 
@@ -123,44 +123,37 @@ class FlowNetwork:
     def _advance_progress(self) -> None:
         """Debit bytes transferred since the last rate change.
 
-        On the vectorized path the debits are computed as one array
-        expression; each element performs the reference's exact float
-        sequence (``rate * elapsed``, ``remaining - sent``,
-        ``max(0.0, ...)``), so the results are bit-identical.
+        The debits are one array expression; each element performs the
+        scalar float sequence ``max(0.0, remaining - rate * elapsed)``,
+        so every flow's remaining bytes are exactly what a per-flow loop
+        would compute.
         """
         elapsed = self.engine.now_s - self._last_update_s
-        if elapsed > 0:
-            if len(self._active) > 1 and active_kernel() == "vectorized":
-                records = list(self._active.values())
-                count = len(records)
-                remaining = np.fromiter(
-                    (r.flow.remaining_bytes for r in records),
-                    dtype=np.float64,
-                    count=count,
-                )
-                rates = np.fromiter(
-                    (r.flow.rate_bytes_per_s for r in records),
-                    dtype=np.float64,
-                    count=count,
-                )
-                debited = np.maximum(0.0, remaining - rates * elapsed).tolist()
-                for record, left in zip(records, debited):
-                    record.flow.remaining_bytes = left
-            else:
-                for record in self._active.values():
-                    sent = record.flow.rate_bytes_per_s * elapsed
-                    record.flow.remaining_bytes = max(
-                        0.0, record.flow.remaining_bytes - sent
-                    )
+        if elapsed > 0 and self._active:
+            records = list(self._active.values())
+            count = len(records)
+            remaining = np.fromiter(
+                (r.flow.remaining_bytes for r in records),
+                dtype=np.float64,
+                count=count,
+            )
+            rates = np.fromiter(
+                (r.flow.rate_bytes_per_s for r in records),
+                dtype=np.float64,
+                count=count,
+            )
+            debited = np.maximum(0.0, remaining - rates * elapsed).tolist()
+            for record, left in zip(records, debited):
+                record.flow.remaining_bytes = left
         self._last_update_s = self.engine.now_s
 
     def _link_space_current(self) -> LinkSpace:
         """The capacity index space, rebuilt when the universe changes.
 
-        Capacity *values* are re-read (and re-validated, matching the
-        reference's per-call check) on every rate computation; only the
-        link→index mapping is cached, invalidated when the set of links
-        grows or shrinks.
+        Capacity *values* are re-read (and re-validated, as
+        :func:`~repro.sim.flows.max_min_rates` does per call) on every
+        rate computation; only the link→index mapping is cached,
+        invalidated when the set of links grows or shrinks.
         """
         space = self._link_space
         if space is None or len(space) != len(self.capacities):
@@ -169,16 +162,13 @@ class FlowNetwork:
         return space
 
     def _compute_rates(self, flows: list[Flow]) -> None:
-        """Recompute ``flows``' rates via the active kernel backend.
+        """Recompute ``flows``' rates with the water-filling kernel.
 
-        The vectorized path reuses cached per-flow link-index arrays and
-        skips re-validating links it has already seen (a flow's link set
-        is fixed after injection); validation messages and ordering for
-        *new* flows match :func:`~repro.sim.flows.max_min_rates`.
+        Reuses cached per-flow link-index arrays and skips re-validating
+        links it has already seen (a flow's link set is fixed after
+        injection); validation messages and ordering for *new* flows
+        match :func:`~repro.sim.flows.max_min_rates`.
         """
-        if active_kernel() != "vectorized":
-            max_min_rates(flows, self.capacities)
-            return
         with STATS.timed("waterfill"):
             space = self._link_space_current()
             caps = np.fromiter(

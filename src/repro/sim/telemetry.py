@@ -19,7 +19,6 @@ from typing import Hashable
 
 import numpy as np
 
-from ..kernels import active_kernel
 from ..obs.tracer import Tracer
 from .engine import EventEngine
 from .network import FlowNetwork
@@ -233,48 +232,32 @@ class InstrumentedNetwork(FlowNetwork):
     def _aggregate_rates(self, records) -> dict[Hashable, float]:
         """Per-link aggregate rate across the active flows.
 
-        The vectorized path sums per-flow rates onto the dense link index
-        space with ``np.bincount``, reusing the flow→index arrays the rate
-        kernel already cached. ``bincount`` accumulates its weights in
-        input order, which is exactly the reference dict-accumulation
-        order, so every per-link total is bit-identical; only the dict's
-        key order differs (index order vs. first-seen), and every
-        downstream consumer sorts deterministically.
+        Sums per-flow rates onto the dense link index space with
+        ``np.bincount``, reusing the flow→index arrays the rate kernel
+        cached for every active flow. ``bincount`` accumulates its
+        weights in input order — the order a per-flow dict accumulation
+        adds them — so every per-link total is exact. The dict's keys
+        come in index order; every downstream consumer sorts
+        deterministically.
         """
-        if active_kernel() == "vectorized" and self._link_space is not None:
-            indices = self._flow_indices
-            idx_arrays = []
-            flow_rates = []
-            lengths = []
-            for record in records:
-                idx = indices.get(record.flow.flow_id)
-                if idx is None:
-                    break  # not yet indexed; fall back to the dict loop
-                idx_arrays.append(idx)
-                flow_rates.append(record.flow.rate_bytes_per_s)
-                lengths.append(idx.size)
-            else:
-                if not idx_arrays:
-                    return {}
-                space = self._link_space
-                flat = np.concatenate(idx_arrays)
-                weights = np.repeat(
-                    np.asarray(flow_rates, dtype=np.float64), lengths
-                )
-                sums = np.bincount(
-                    flat, weights=weights, minlength=len(space)
-                ).tolist()
-                touched = np.bincount(flat, minlength=len(space))
-                links = space.links
-                return {
-                    links[i]: sums[i]
-                    for i in np.flatnonzero(touched).tolist()
-                }
-        rates: dict[Hashable, float] = {}
-        for record in records:
-            for link in record.flow.links:
-                rates[link] = rates.get(link, 0.0) + record.flow.rate_bytes_per_s
-        return rates
+        if not records:
+            return {}
+        indices = self._flow_indices
+        idx_arrays = [indices[record.flow.flow_id] for record in records]
+        flat = np.concatenate(idx_arrays)
+        weights = np.repeat(
+            np.fromiter(
+                (record.flow.rate_bytes_per_s for record in records),
+                dtype=np.float64,
+                count=len(records),
+            ),
+            [idx.size for idx in idx_arrays],
+        )
+        space = self._link_space
+        sums = np.bincount(flat, weights=weights, minlength=len(space)).tolist()
+        touched = np.bincount(flat, minlength=len(space))
+        links = space.links
+        return {links[i]: sums[i] for i in np.flatnonzero(touched).tolist()}
 
     def _active_records(self):
         return list(self._active.values())

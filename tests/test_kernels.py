@@ -1,15 +1,14 @@
-"""The kernels layer: selection, incidence, and backend bit-identity.
+"""The kernels layer: incidence, time accounting, and oracle bit-identity.
 
-The vectorized backend's entire contract is "bit-identical to the
-reference, only faster" — so nearly every test here runs both backends
-on the same input and asserts *exact* equality (``==`` on floats, not
-``approx``): water-filling rates, bucket stage costs, repair attempts,
-telemetry timelines. Randomized inputs come from hypothesis; the
-degenerate corners (single flow, single link, all-capped, duplicate
-links) are pinned explicitly.
+The numpy kernels' contract is "bit-identical to the straightforward
+loops, only faster". The loops live in ``tests/oracles/``; nearly every
+test here runs a kernel and its oracle on the same input and asserts
+*exact* equality (``==`` on floats, not ``approx``): water-filling rates,
+bucket stage costs, repair attempts, flow completion times and telemetry
+timelines. Randomized inputs come from hypothesis; the degenerate
+corners (single flow, single link, all-capped, duplicate links) are
+pinned explicitly.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,87 +18,54 @@ from repro.api import (
     FabricSession,
     FailurePlan,
     ScenarioSpec,
-    code_fingerprint,
     figure6_slices,
 )
+from repro.cli import main
 from repro.collectives.cost_model import _bucket_stages
+from repro.failures.inject import InvalidChipError
 from repro.failures.recovery import ElectricalRecoveryAnalysis
-from repro.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV_VAR,
-    KERNELS,
-    KernelStats,
-    STATS,
-    active_kernel,
-    set_default_kernel,
-    use_kernel,
-)
+from repro.kernels import KernelStats, STATS
 from repro.kernels.incidence import FlowIncidence, LinkSpace
 from repro.kernels.stagecosts import bucket_stage_arrays
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import EventEngine
-from repro.sim.flows import Flow, max_min_rates, max_min_rates_reference
+from repro.sim.flows import Flow, max_min_rates
 from repro.sim.network import FlowNetwork
 from repro.sim.telemetry import InstrumentedNetwork, LinkTelemetry
-from repro.topology.slices import SliceAllocator
+from repro.topology.slices import SliceAllocator, SliceOverlapError
 from repro.topology.torus import Torus
+from tests.oracles.kernels import (
+    bucket_stages_reference,
+    evaluate_all_free_chips_reference,
+    evaluate_free_chip_reference,
+    max_min_rates_reference,
+)
+from tests.oracles.network import (
+    ReferenceFlowNetwork,
+    ReferenceInstrumentedNetwork,
+)
+from tests.test_recovery import figure6b_scenario
 
-# -- selection machinery -------------------------------------------------------
+#: The two implementations each parity test runs: the oracle loop
+#: ("reference") and the production kernel ("vectorized").
+IMPLEMENTATIONS = ("reference", "vectorized")
+
+# -- nothing left to select ----------------------------------------------------
 
 
 class TestKernelSelection:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert active_kernel() == DEFAULT_KERNEL == "vectorized"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert active_kernel() == "reference"
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "simd")
-        with pytest.raises(ValueError, match="unknown kernel 'simd'"):
-            active_kernel()
-
-    def test_use_kernel_overrides_and_restores(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        with use_kernel("reference"):
-            assert active_kernel() == "reference"
-            with use_kernel("vectorized"):
-                assert active_kernel() == "vectorized"
-            assert active_kernel() == "reference"
-        assert active_kernel() == DEFAULT_KERNEL
-
-    def test_use_kernel_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_kernel("reference"):
-                raise RuntimeError("boom")
-        assert active_kernel() == DEFAULT_KERNEL
-
-    def test_use_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with use_kernel("gpu"):
-                pass  # pragma: no cover
-
-    def test_set_default_kernel_exports_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, DEFAULT_KERNEL)
-        set_default_kernel("reference")
-        assert os.environ[KERNEL_ENV_VAR] == "reference"
-        assert active_kernel() == "reference"
-
-    def test_fingerprint_differs_by_kernel(self):
-        with use_kernel("reference"):
-            reference = code_fingerprint()
-        with use_kernel("vectorized"):
-            vectorized = code_fingerprint()
-        assert reference != vectorized
+    def test_kernel_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--kernel", "reference", "simulate"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_stats_accounting(self):
         stats = KernelStats()
-        stats.record("waterfill", 0.5, kernel="vectorized")
-        stats.record("waterfill", 0.25, kernel="vectorized")
+        stats.record("waterfill", 0.5)
+        stats.record("waterfill", 0.25)
         snap = stats.snapshot()
-        assert snap == {"vectorized.waterfill": {"calls": 2, "seconds": 0.75}}
+        assert snap == {"waterfill": {"calls": 2, "seconds": 0.75}}
         stats.reset()
         assert stats.snapshot() == {}
 
@@ -142,6 +108,11 @@ class TestIncidence:
 
 
 # -- water-filling bit-identity ------------------------------------------------
+
+WATERFILL = {
+    "reference": max_min_rates_reference,
+    "vectorized": max_min_rates,
+}
 
 
 @st.composite
@@ -189,12 +160,10 @@ def _build(flows):
 
 
 def _both_backends(caps, flows):
-    """Run both backends on independent flow copies; return both results."""
+    """Run the oracle and the kernel on independent flow copies."""
     ref_flows, vec_flows = _build(flows), _build(flows)
-    with use_kernel("reference"):
-        ref = max_min_rates(ref_flows, dict(caps))
-    with use_kernel("vectorized"):
-        vec = max_min_rates(vec_flows, dict(caps))
+    ref = max_min_rates_reference(ref_flows, dict(caps))
+    vec = max_min_rates(vec_flows, dict(caps))
     return ref, vec, ref_flows, vec_flows
 
 
@@ -232,50 +201,44 @@ class TestWaterfillIdentity:
         assert ref == vec
 
     def test_empty_flow_list(self):
-        with use_kernel("vectorized"):
-            assert max_min_rates([], {"L0": 1.0}) == {}
-        with use_kernel("reference"):
-            assert max_min_rates([], {"L0": 1.0}) == {}
+        assert max_min_rates([], {"L0": 1.0}) == {}
+        assert max_min_rates_reference([], {"L0": 1.0}) == {}
 
     def test_dispatcher_agrees_with_reference_function(self):
         caps = {"a": 3.0, "b": 2.0}
         flows = [("x", ("a", "b"), None), ("y", ("b",), None)]
         direct = max_min_rates_reference(_build(flows), dict(caps))
-        with use_kernel("vectorized"):
-            vec = max_min_rates(_build(flows), dict(caps))
-        assert direct == vec
+        vec = max_min_rates(_build(flows), dict(caps))
+        assert direct == vec == {"x": 1.0, "y": 1.0}
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_unknown_link_error_parity(self, kernel):
         flows = _build([("f0", ("L0", "mystery"), None)])
-        with use_kernel(kernel):
-            with pytest.raises(KeyError) as err:
-                max_min_rates(flows, {"L0": 1.0})
+        with pytest.raises(KeyError) as err:
+            WATERFILL[kernel](flows, {"L0": 1.0})
         assert err.value.args[0] == (
             "flow 'f0' uses unknown link 'mystery'"
         )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_non_positive_capacity_error_parity(self, kernel):
         flows = _build([("f0", ("L0",), None)])
-        with use_kernel(kernel):
-            with pytest.raises(
-                ValueError, match=r"link 'L1' has non-positive capacity 0"
-            ):
-                max_min_rates(flows, {"L0": 1.0, "L1": 0.0})
+        with pytest.raises(
+            ValueError, match=r"link 'L1' has non-positive capacity 0"
+        ):
+            WATERFILL[kernel](flows, {"L0": 1.0, "L1": 0.0})
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_zeroed_demand_cap_error_parity(self, kernel):
         flows = _build([("f0", ("L0",), 1.0)])
         flows[0].demand_bytes_per_s = 0.0  # bypass Flow's own validation
-        with use_kernel(kernel):
-            with pytest.raises(
-                ValueError, match="non-positive demand cap"
-            ):
-                max_min_rates(flows, {"L0": 1.0})
+        with pytest.raises(ValueError, match="non-positive demand cap"):
+            WATERFILL[kernel](flows, {"L0": 1.0})
 
 
 # -- bucket stage costs --------------------------------------------------------
+
+STAGES = {"reference": bucket_stages_reference, "vectorized": _bucket_stages}
 
 dims_lists = st.lists(
     st.integers(min_value=2, max_value=8), min_size=1, max_size=4
@@ -287,10 +250,8 @@ class TestStageCostIdentity:
     @given(dims_lists, fractions)
     @settings(max_examples=100, deadline=None)
     def test_stages_bit_identical(self, dims, fraction):
-        with use_kernel("reference"):
-            ref = _bucket_stages(list(dims), fraction)
-        with use_kernel("vectorized"):
-            vec = _bucket_stages(list(dims), fraction)
+        ref = bucket_stages_reference(list(dims), fraction)
+        vec = _bucket_stages(list(dims), fraction)
         assert ref == vec  # CollectiveCost dataclass equality, exact floats
 
     def test_stage_arrays_shapes(self):
@@ -299,13 +260,12 @@ class TestStageCostIdentity:
         assert list(buffer_fractions) == [1.0, 0.25, 0.0625]
         assert betas[0] == (4 - 1) / 4
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_validation_parity(self, kernel):
-        with use_kernel(kernel):
-            with pytest.raises(ValueError, match="at least one dimension"):
-                _bucket_stages([], 1.0)
-            with pytest.raises(ValueError, match=">= 2 chips"):
-                _bucket_stages([4, 1], 1.0)
+        with pytest.raises(ValueError, match="at least one dimension"):
+            STAGES[kernel]([], 1.0)
+        with pytest.raises(ValueError, match=">= 2 chips"):
+            STAGES[kernel]([4, 1], 1.0)
 
 
 # -- repair path search --------------------------------------------------------
@@ -319,37 +279,108 @@ def _figure6_analysis(max_hops=4):
     return ElectricalRecoveryAnalysis(torus, allocator, max_hops=max_hops)
 
 
+def _assert_repair_matches_oracle(analysis, slc, failed, extra_busy=None):
+    """Every free chip, singly and all at once, equals the oracle; the
+    failed chip itself is rejected."""
+    for free_chip in analysis.allocator.free_chips():
+        assert analysis.evaluate_free_chip(
+            slc, failed, free_chip, extra_busy
+        ) == evaluate_free_chip_reference(
+            analysis, slc, failed, free_chip, extra_busy
+        )
+    assert analysis.evaluate_all_free_chips(
+        slc, failed
+    ) == evaluate_all_free_chips_reference(analysis, slc, failed)
+    with pytest.raises(ValueError, match="cannot replace itself"):
+        analysis.evaluate_free_chip(slc, failed, failed)
+
+
+@st.composite
+def repair_layouts(draw):
+    """Non-overlapping slices on a 4x4x4 rack, a failed chip in one of
+    them, a few extra busy links, and a small path-length bound."""
+    torus = Torus((4, 4, 4))
+    allocator = SliceAllocator(torus)
+    extents = st.sampled_from((1, 2, 4))
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        shape = (draw(extents), draw(extents), draw(extents))
+        offset = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+        try:
+            allocator.allocate(f"S{i}", shape, offset)
+        except SliceOverlapError:
+            continue
+    if not allocator.slices:
+        allocator.allocate("S", (4, 4, 1), (0, 0, 0))
+    slc = draw(st.sampled_from(allocator.slices))
+    failed = draw(st.sampled_from(slc.chips()))
+    links = list(torus.links())
+    extra_busy = set(draw(st.lists(st.sampled_from(links), max_size=4)))
+    max_hops = draw(st.integers(min_value=1, max_value=3))
+    analysis = ElectricalRecoveryAnalysis(torus, allocator, max_hops=max_hops)
+    return analysis, slc, failed, extra_busy
+
+
 class TestRepairIdentity:
     def test_evaluate_all_free_chips_identical(self):
         analysis = _figure6_analysis()
         slc = analysis.allocator.slices[0]
         failed = (1, 2, 0)
-        with use_kernel("reference"):
-            ref = analysis.evaluate_all_free_chips(slc, failed)
-        with use_kernel("vectorized"):
-            vec = analysis.evaluate_all_free_chips(slc, failed)
+        ref = evaluate_all_free_chips_reference(analysis, slc, failed)
+        vec = analysis.evaluate_all_free_chips(slc, failed)
         assert ref == vec  # dataclass equality: paths, congestion, feasibility
 
     def test_evaluate_single_chip_identical(self):
         analysis = _figure6_analysis()
         slc = analysis.allocator.slices[0]
         failed, free_chip = (1, 2, 0), (0, 2, 2)
-        with use_kernel("reference"):
-            ref = analysis.evaluate_free_chip(slc, failed, free_chip)
-        with use_kernel("vectorized"):
-            vec = analysis.evaluate_free_chip(slc, failed, free_chip)
+        ref = evaluate_free_chip_reference(analysis, slc, failed, free_chip)
+        vec = analysis.evaluate_free_chip(slc, failed, free_chip)
         assert ref == vec
 
-    def test_failed_chip_as_candidate_uses_reference_path(self):
-        # free_chip == failed is outside the kernel's contract; the
-        # dispatcher must fall back and still agree with the reference.
+    @given(repair_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_random_layouts_match_oracle(self, layout):
+        analysis, slc, failed, extra_busy = layout
+        _assert_repair_matches_oracle(analysis, slc, failed, extra_busy)
+
+    def test_figure6b_matches_oracle(self):
+        torus, allocator, slc = figure6b_scenario()
+        analysis = ElectricalRecoveryAnalysis(torus, allocator, max_hops=4)
+        failed = (0, 0, 0)
+        attempts = analysis.evaluate_all_free_chips(slc, failed)
+        # The exhaustive search ran: no candidate is congestion-free.
+        assert attempts and not any(a.feasible for a in attempts)
+        _assert_repair_matches_oracle(analysis, slc, failed)
+
+    def test_failed_chip_as_candidate_rejected(self):
+        # Splicing the failed chip back in is no repair. The coordinate
+        # search would still return paths that end at it, while the
+        # index-space search excludes the failed chip from every path;
+        # this layout is one where the two differ, so the input is
+        # refused rather than answered by either rule.
+        torus = Torus((4, 4, 4))
+        allocator = SliceAllocator(torus)
+        slc = allocator.allocate("s0", (4, 2, 4), (0, 3, 0))
+        allocator.allocate("s2", (4, 2, 4), (2, 1, 2))
+        analysis = ElectricalRecoveryAnalysis(torus, allocator, max_hops=3)
+        failed = (1, 0, 3)
+        oracle = evaluate_free_chip_reference(analysis, slc, failed, failed)
+        assert any(p.path[-1] == failed and p.congested_links for p in oracle.best_paths)
+        with pytest.raises(ValueError, match="cannot replace itself"):
+            analysis.evaluate_free_chip(slc, failed, failed)
+
+    def test_failed_chip_outside_torus_rejected(self):
         analysis = _figure6_analysis()
         slc = analysis.allocator.slices[0]
-        failed = (1, 2, 0)
-        with use_kernel("vectorized"):
-            vec = analysis.evaluate_free_chip(slc, failed, failed)
-        ref = analysis._evaluate_free_chip_reference(slc, failed, failed)
-        assert ref == vec
+        with pytest.raises(InvalidChipError, match="outside the torus"):
+            analysis.evaluate_all_free_chips(slc, (9, 9, 9))
+        with pytest.raises(InvalidChipError, match="outside the torus"):
+            analysis.evaluate_free_chip(slc, (4, 0, 0), (0, 2, 2))
+
+    def test_allocator_rack_must_match_torus(self):
+        allocator = SliceAllocator(Torus((4, 4, 4)))
+        with pytest.raises(ValueError, match="does not match"):
+            ElectricalRecoveryAnalysis(Torus((4, 4, 8)), allocator)
 
     def test_ring_link_indices_match_ring_links(self):
         analysis = _figure6_analysis()
@@ -367,38 +398,83 @@ class TestRepairIdentity:
 
 # -- fluid network + telemetry -------------------------------------------------
 
+NETWORKS = {"reference": ReferenceFlowNetwork, "vectorized": FlowNetwork}
 
-def _run_schedule(kernel, instrumented):
-    with use_kernel(kernel):
-        engine = EventEngine()
-        caps = {"a": 4.0, "b": 2.0, "c": 8.0}
-        cls = InstrumentedNetwork if instrumented else FlowNetwork
-        network = cls(engine, caps)
-        network.inject(Flow("f0", ("a", "b"), 16.0))
-        network.inject(Flow("f1", ("b", "c"), 8.0, demand_bytes_per_s=0.75))
-        network.inject(
-            Flow("f2", ("a",), 12.0),
-            on_complete=lambda rec: network.inject(Flow("f3", ("c",), 4.0)),
+
+@st.composite
+def flow_schedules(draw):
+    """Random link capacities and a flow schedule over them.
+
+    Each flow is injected either at a random time or from the completion
+    callback of an earlier flow, so injections land both between and
+    inside other events' handlers.
+    """
+    n_links = draw(st.integers(min_value=1, max_value=5))
+    positive = st.floats(min_value=0.5, max_value=16.0, allow_nan=False)
+    caps = {f"L{i}": draw(positive) for i in range(n_links)}
+    flows = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        links = tuple(
+            draw(st.lists(st.sampled_from(sorted(caps)), min_size=1, max_size=3))
         )
-        network.run_until_idle()
+        size = draw(st.floats(min_value=0.5, max_value=64.0, allow_nan=False))
+        demand = draw(st.one_of(st.none(), st.floats(min_value=0.1, max_value=16.0)))
+        if i and draw(st.booleans()):
+            start = ("after", draw(st.integers(min_value=0, max_value=i - 1)))
+        else:
+            start = ("at", draw(st.floats(min_value=0.0, max_value=8.0)))
+        flows.append((f"f{i}", links, size, demand, start))
+    return caps, flows
+
+
+def _run_flow_schedule(cls, caps, flows):
+    engine = EventEngine()
+    network = cls(engine, caps)
+    followers = {}
+    for fid, _, _, _, (kind, arg) in flows:
+        if kind == "after":
+            followers.setdefault(f"f{arg}", []).append(fid)
+    by_id = {fid: (links, size, demand) for fid, links, size, demand, _ in flows}
+
+    def inject(fid):
+        links, size, demand = by_id[fid]
+
+        def chain(record):
+            for follower in followers.get(record.flow.flow_id, ()):
+                inject(follower)
+
+        network.inject(Flow(fid, links, size, demand), on_complete=chain)
+
+    for fid, _, _, _, (kind, arg) in flows:
+        if kind == "at":
+            engine.schedule_at(arg, lambda fid=fid: inject(fid))
+    engine.run()
+    assert network.active_flow_count() == 0
     return network
 
 
-class TestNetworkIdentity:
-    def test_completion_times_bit_identical(self):
-        ref = _run_schedule("reference", instrumented=False)
-        vec = _run_schedule("vectorized", instrumented=False)
-        assert [r.flow.flow_id for r in ref.records] == [
-            r.flow.flow_id for r in vec.records
-        ]
-        for a, b in zip(ref.records, vec.records):
-            assert a.start_s == b.start_s
-            assert a.finish_s == b.finish_s
+def _timeline(network):
+    return [(r.flow.flow_id, r.start_s, r.finish_s) for r in network.records]
 
-    def test_telemetry_timelines_bit_identical(self):
-        ref = _run_schedule("reference", instrumented=True)
-        vec = _run_schedule("vectorized", instrumented=True)
-        for link in ref.capacities:
+
+class TestNetworkIdentity:
+    @given(flow_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_completion_times_bit_identical(self, schedule):
+        caps, flows = schedule
+        ref = _run_flow_schedule(ReferenceFlowNetwork, caps, flows)
+        vec = _run_flow_schedule(FlowNetwork, caps, flows)
+        assert len(vec.records) == len(flows)
+        assert _timeline(ref) == _timeline(vec)  # exact floats
+
+    @given(flow_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_telemetry_timelines_bit_identical(self, schedule):
+        caps, flows = schedule
+        ref = _run_flow_schedule(ReferenceInstrumentedNetwork, caps, flows)
+        vec = _run_flow_schedule(InstrumentedNetwork, caps, flows)
+        assert _timeline(ref) == _timeline(vec)
+        for link in caps:
             assert ref.telemetry.samples(link) == vec.telemetry.samples(link)
             assert ref.telemetry.carried_bytes(
                 link
@@ -406,36 +482,31 @@ class TestNetworkIdentity:
         assert ref.telemetry.busiest_links() == vec.telemetry.busiest_links()
         assert ref.telemetry.idle_links() == vec.telemetry.idle_links()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_zeroed_cap_error_parity_via_network(self, kernel):
-        with use_kernel(kernel):
-            engine = EventEngine()
-            network = FlowNetwork(engine, {"a": 4.0})
-            network.inject(Flow("f0", ("a",), 8.0))
-            flow = Flow("f1", ("a",), 8.0, demand_bytes_per_s=1.0)
-            flow.demand_bytes_per_s = 0.0  # mutate past validation
-            with pytest.raises(ValueError, match="non-positive demand cap"):
-                network.inject(flow)
+        engine = EventEngine()
+        network = NETWORKS[kernel](engine, {"a": 4.0})
+        network.inject(Flow("f0", ("a",), 8.0))
+        flow = Flow("f1", ("a",), 8.0, demand_bytes_per_s=1.0)
+        flow.demand_bytes_per_s = 0.0  # mutate past validation
+        with pytest.raises(ValueError, match="non-positive demand cap"):
+            network.inject(flow)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_unknown_link_error_parity_via_network(self, kernel):
-        with use_kernel(kernel):
-            engine = EventEngine()
-            network = FlowNetwork(engine, {"a": 4.0})
-            with pytest.raises(
-                KeyError, match="uses unknown link 'ghost'"
-            ):
-                network.inject(Flow("f0", ("a", "ghost"), 8.0))
+        engine = EventEngine()
+        network = NETWORKS[kernel](engine, {"a": 4.0})
+        with pytest.raises(KeyError, match="uses unknown link 'ghost'"):
+            network.inject(Flow("f0", ("a", "ghost"), 8.0))
 
     def test_capacity_added_mid_run_is_picked_up(self):
         # The cached LinkSpace must rebuild when the universe changes.
-        with use_kernel("vectorized"):
-            engine = EventEngine()
-            network = FlowNetwork(engine, {"a": 4.0})
-            network.inject(Flow("f0", ("a",), 4.0))
-            network.capacities["b"] = 2.0
-            network.inject(Flow("f1", ("b",), 2.0))
-            horizon = network.run_until_idle()
+        engine = EventEngine()
+        network = FlowNetwork(engine, {"a": 4.0})
+        network.inject(Flow("f0", ("a",), 4.0))
+        network.capacities["b"] = 2.0
+        network.inject(Flow("f1", ("b",), 2.0))
+        horizon = network.run_until_idle()
         assert horizon == 1.0
 
 
@@ -495,39 +566,23 @@ def _repair_spec():
 
 class TestSessionKernelIntegration:
     def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel 'simd'"):
-            FabricSession(kernel="simd")
+        # Sessions take no kernel argument at all.
+        for kernel in ("simd", "vectorized"):
+            with pytest.raises(TypeError, match="kernel"):
+                FabricSession(kernel=kernel)
 
     def test_kernel_stats_reported_to_metrics(self):
         registry = MetricsRegistry()
-        session = FabricSession(metrics=registry, kernel="vectorized")
+        session = FabricSession(metrics=registry)
         session.run(_repair_spec())
-        assert "kernel.vectorized.repair.calls" in registry
-        assert "kernel.vectorized.repair.seconds" in registry
-        assert registry.counter("kernel.vectorized.repair.calls").value > 0
-
-    def test_session_kernel_pins_backend(self):
-        registry = MetricsRegistry()
-        with use_kernel("vectorized"):
-            session = FabricSession(metrics=registry, kernel="reference")
-            session.run(_repair_spec())
+        assert "kernel.repair.calls" in registry
+        assert "kernel.repair.seconds" in registry
+        assert registry.counter("kernel.repair.calls").value > 0
         kernel_names = [n for n in registry.names() if n.startswith("kernel.")]
-        assert kernel_names  # the reference dispatcher still records time
-        assert all(n.startswith("kernel.reference.") for n in kernel_names)
-
-    def test_results_identical_across_session_kernels(self):
-        spec = _repair_spec()
-        reference = FabricSession(kernel="reference").run(spec)
-        vectorized = FabricSession(kernel="vectorized").run(spec)
-        assert reference.to_json() == vectorized.to_json()
+        assert kernel_names == ["kernel.repair.calls", "kernel.repair.seconds"]
 
     def test_kernel_stats_global_accumulator(self):
-        before = STATS.snapshot().get(
-            "vectorized.waterfill", {"calls": 0}
-        )["calls"]
-        with use_kernel("vectorized"):
-            max_min_rates(
-                _build([("f0", ("L0",), None)]), {"L0": 1.0}
-            )
-        after = STATS.snapshot()["vectorized.waterfill"]["calls"]
+        before = STATS.snapshot().get("waterfill", {"calls": 0})["calls"]
+        max_min_rates(_build([("f0", ("L0",), None)]), {"L0": 1.0})
+        after = STATS.snapshot()["waterfill"]["calls"]
         assert after == before + 1

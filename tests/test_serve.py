@@ -26,6 +26,7 @@ from repro.serve import (
     ServerConfig,
     ServerThread,
     ShuttingDown,
+    wire,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -424,6 +425,116 @@ class TestHttpErrors:
             live_client.evaluate_bytes(bad)
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_spec"
+
+
+#: Longer than ``asyncio.StreamReader``'s default 64 KiB line limit.
+OVERSIZED = 70_000
+
+
+def _read_with(reader_fn, data: bytes):
+    """Run a wire reader over ``data`` (then EOF) and return its result."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await reader_fn(reader)
+
+    return asyncio.run(main())
+
+
+def _raw_exchange(port: int, data: bytes) -> tuple[int, dict[str, str], bytes]:
+    """Send ``data`` on a fresh socket; parse the whole reply."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in header_lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    assert status_line.startswith("HTTP/1.1 ")
+    return int(status_line.split()[1]), headers, body
+
+
+class TestWireLimits:
+    """Oversized or header-flooded input is a typed protocol error."""
+
+    def _request_error(self, data):
+        with pytest.raises(wire.ProtocolError) as excinfo:
+            _read_with(wire.read_request, data)
+        return excinfo.value
+
+    def _response_error(self, data):
+        with pytest.raises(wire.ProtocolError) as excinfo:
+            _read_with(wire.read_response, data)
+        return excinfo.value
+
+    def test_oversized_request_line_is_400(self):
+        error = self._request_error(
+            b"GET /" + b"a" * OVERSIZED + b" HTTP/1.1\r\n\r\n"
+        )
+        assert error.status == 400
+        assert "request line too long" in str(error)
+
+    def test_oversized_header_line_is_431(self):
+        error = self._request_error(
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * OVERSIZED + b"\r\n\r\n"
+        )
+        assert error.status == 431
+
+    def test_header_count_is_capped(self):
+        def request(count):
+            lines = b"".join(b"X-H%d: v\r\n" % i for i in range(count))
+            return b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+
+        parsed = _read_with(wire.read_request, request(wire.MAX_HEADERS))
+        assert len(parsed.headers) == wire.MAX_HEADERS
+        error = self._request_error(request(wire.MAX_HEADERS + 1))
+        assert error.status == 431
+        assert f"more than {wire.MAX_HEADERS} header lines" in str(error)
+
+    def test_worker_response_limits_are_502(self):
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n"
+        for data in (
+            b"HTTP/1.1 200 " + b"a" * OVERSIZED + b"\r\n\r\n",
+            ok + b"X-Big: " + b"a" * OVERSIZED + b"\r\n\r\n",
+            ok + b"X-H: v\r\n" * wire.MAX_HEADERS + b"\r\n",
+        ):
+            assert self._response_error(data).status == 502
+
+    @pytest.mark.parametrize(
+        "data, status",
+        [
+            (b"GET /" + b"a" * OVERSIZED + b" HTTP/1.1\r\n\r\n", 400),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"a" * OVERSIZED
+                + b"\r\n\r\n",
+                431,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"X-H: v\r\n" * (wire.MAX_HEADERS + 1)
+                + b"\r\n",
+                431,
+            ),
+        ],
+        ids=["request-line", "header-line", "header-count"],
+    )
+    def test_server_answers_well_formed_4xx(self, live_server, data, status):
+        got, headers, body = _raw_exchange(live_server.port, data)
+        assert got == status
+        assert int(headers["content-length"]) == len(body)
+        error = json.loads(body)["error"]
+        assert error["status"] == status
+        assert error["code"] == "protocol_error"
 
 
 class TestHttpIntrospection:
