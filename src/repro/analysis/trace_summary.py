@@ -9,9 +9,9 @@ and where the trace's horizon sits. The CLI's ``repro trace`` stderr
 summary and the failure-recovery example both render from here.
 
 Everything operates on plain :class:`~repro.obs.tracer.TraceEvent`
-sequences, so the module depends only on the observability layer — it
-never imports the API package (which imports *this* package for
-utilization analysis).
+sequences, so the module depends only on the observability layer and on
+:mod:`repro.api.codec`, which imports nothing from ``repro`` (the rest
+of the API package imports *this* package for utilization analysis).
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from ..api.codec import Record
 from ..obs.tracer import TraceEvent
 
 __all__ = ["CategorySummary", "summarize_trace", "render_trace_summary"]
 
 
 @dataclass(frozen=True)
-class CategorySummary:
+class CategorySummary(Record):
     """Rollup of one trace category.
 
     Attributes:
@@ -43,16 +44,6 @@ class CategorySummary:
     total_dur_us: float
     first_ts_us: float
     last_ts_us: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "category": self.category,
-            "spans": self.spans,
-            "instants": self.instants,
-            "total_dur_us": self.total_dur_us,
-            "first_ts_us": self.first_ts_us,
-            "last_ts_us": self.last_ts_us,
-        }
 
 
 def _events_of(trace: Any) -> Sequence[TraceEvent]:

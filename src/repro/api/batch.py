@@ -44,6 +44,7 @@ from .cache import (
     ResultCache,
     spec_key,
 )
+from .codec import Record
 from .result import RunResult
 from .session import FabricSession
 from .spec import ScenarioSpec, SliceSpec
@@ -59,7 +60,7 @@ def _chip_count(shape: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(Record):
     """A declarative sweep grid: fabrics × slice shapes × buffer sizes.
 
     Expansion order is deterministic (fabric-major, then shape, then
@@ -132,16 +133,6 @@ class SweepPlan:
             for shape in self.slice_shapes
             for buffer in self.buffer_bytes
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "fabrics": list(self.fabrics),
-            "slice_shapes": [list(s) for s in self.slice_shapes],
-            "buffer_bytes": list(self.buffer_bytes),
-            "rack_shape": list(self.rack_shape),
-            "outputs": list(self.outputs),
-            "mode": self.mode,
-        }
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,19 @@ blast-radius comparisons, bandwidth-utilization rows, and device-level
 physical reports. Every section is an optional typed dataclass, and the
 whole result round-trips through JSON via ``to_dict``/``from_dict`` so
 runs can be archived and compared across backends and code versions.
+Each section is a :class:`~repro.api.codec.Record`: its JSON form
+follows from its annotated fields by the codec's one rule.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..collectives.cost_model import CollectiveCost
 from ..obs.tracer import TraceEvent, Tracer
+from .codec import OPTIONAL, Record, decode, encode
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -48,24 +51,8 @@ __all__ = [
 ]
 
 
-def _cost_to_dict(cost: CollectiveCost) -> dict[str, Any]:
-    return {
-        "alpha_count": cost.alpha_count,
-        "beta_factor": cost.beta_factor,
-        "reconfig_count": cost.reconfig_count,
-    }
-
-
-def _cost_from_dict(data: dict[str, Any]) -> CollectiveCost:
-    return CollectiveCost(
-        alpha_count=data["alpha_count"],
-        beta_factor=data["beta_factor"],
-        reconfig_count=data.get("reconfig_count", 0),
-    )
-
-
 @dataclass(frozen=True)
-class SliceCost:
+class SliceCost(Record):
     """Collective cost of one tenant under the spec's backend.
 
     Attributes:
@@ -85,30 +72,9 @@ class SliceCost:
     stages: tuple[CollectiveCost, ...]
     seconds: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "slice_name": self.slice_name,
-            "shape": list(self.shape),
-            "chips": self.chips,
-            "cost": _cost_to_dict(self.cost),
-            "stages": [_cost_to_dict(s) for s in self.stages],
-            "seconds": self.seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SliceCost":
-        return cls(
-            slice_name=data["slice_name"],
-            shape=tuple(data["shape"]),
-            chips=data["chips"],
-            cost=_cost_from_dict(data["cost"]),
-            stages=tuple(_cost_from_dict(s) for s in data["stages"]),
-            seconds=data["seconds"],
-        )
-
 
 @dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Per-slice collective costs for one backend."""
 
     interconnect: str
@@ -126,24 +92,9 @@ class CostReport:
                 return line
         raise KeyError(slice_name)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "interconnect": self.interconnect,
-            "buffer_bytes": self.buffer_bytes,
-            "slices": [s.to_dict() for s in self.slices],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CostReport":
-        return cls(
-            interconnect=data["interconnect"],
-            buffer_bytes=data["buffer_bytes"],
-            slices=tuple(SliceCost.from_dict(s) for s in data["slices"]),
-        )
-
 
 @dataclass(frozen=True)
-class UtilizationRow:
+class UtilizationRow(Record):
     """Usable per-chip bandwidth of one slice (Figure 5c series)."""
 
     name: str
@@ -159,47 +110,18 @@ class UtilizationRow:
         """Percent of chip bandwidth the electrical slice strands."""
         return (1.0 - self.electrical_fraction) * 100.0
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["shape"] = list(self.shape)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "UtilizationRow":
-        return cls(
-            name=data["name"],
-            shape=tuple(data["shape"]),
-            chips=data["chips"],
-            electrical_fraction=data["electrical_fraction"],
-            optical_fraction=data["optical_fraction"],
-            electrical_bandwidth_bytes=data["electrical_bandwidth_bytes"],
-            optical_bandwidth_bytes=data["optical_bandwidth_bytes"],
-        )
-
 
 @dataclass(frozen=True)
-class SharedLinkLine:
+class SharedLinkLine(Record):
     """One physical link shared by multiple tenants' rings."""
 
     src: tuple[int, ...]
     dst: tuple[int, ...]
     users: tuple[str, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"src": list(self.src), "dst": list(self.dst),
-                "users": list(self.users)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SharedLinkLine":
-        return cls(
-            src=tuple(data["src"]),
-            dst=tuple(data["dst"]),
-            users=tuple(data["users"]),
-        )
-
 
 @dataclass(frozen=True)
-class CongestionSummary:
+class CongestionSummary(Record):
     """Link-sharing (or switch-contention) analysis of the scenario.
 
     Attributes:
@@ -217,37 +139,9 @@ class CongestionSummary:
     per_slice_congested_dims: dict[str, tuple[int, ...]] | None = None
     contention_loss_fraction: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "congestion_free": self.congestion_free,
-            "shared_links": [s.to_dict() for s in self.shared_links],
-            "worst_multiplicity": self.worst_multiplicity,
-            "per_slice_congested_dims": (
-                {k: list(v) for k, v in self.per_slice_congested_dims.items()}
-                if self.per_slice_congested_dims is not None
-                else None
-            ),
-            "contention_loss_fraction": self.contention_loss_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CongestionSummary":
-        dims = data.get("per_slice_congested_dims")
-        return cls(
-            congestion_free=data["congestion_free"],
-            shared_links=tuple(
-                SharedLinkLine.from_dict(s) for s in data.get("shared_links", ())
-            ),
-            worst_multiplicity=data.get("worst_multiplicity", 1),
-            per_slice_congested_dims=(
-                {k: tuple(v) for k, v in dims.items()} if dims is not None else None
-            ),
-            contention_loss_fraction=data.get("contention_loss_fraction"),
-        )
-
 
 @dataclass(frozen=True)
-class TelemetryLine:
+class TelemetryLine(Record):
     """Measured execution of one tenant's collective on the simulator."""
 
     name: str
@@ -257,25 +151,9 @@ class TelemetryLine:
     reconfig_s: float
     phase_durations_s: tuple[float, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["phase_durations_s"] = list(self.phase_durations_s)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TelemetryLine":
-        return cls(
-            name=data["name"],
-            duration_s=data["duration_s"],
-            transfer_s=data["transfer_s"],
-            alpha_s=data["alpha_s"],
-            reconfig_s=data["reconfig_s"],
-            phase_durations_s=tuple(data["phase_durations_s"]),
-        )
-
 
 @dataclass(frozen=True)
-class TelemetryReport:
+class TelemetryReport(Record):
     """Simulator measurements for the whole scenario.
 
     Attributes:
@@ -289,26 +167,9 @@ class TelemetryReport:
     aggregate_throughput_bytes: float | None = None
     ideal_throughput_bytes: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schedules": [s.to_dict() for s in self.schedules],
-            "aggregate_throughput_bytes": self.aggregate_throughput_bytes,
-            "ideal_throughput_bytes": self.ideal_throughput_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TelemetryReport":
-        return cls(
-            schedules=tuple(
-                TelemetryLine.from_dict(s) for s in data.get("schedules", ())
-            ),
-            aggregate_throughput_bytes=data.get("aggregate_throughput_bytes"),
-            ideal_throughput_bytes=data.get("ideal_throughput_bytes"),
-        )
-
 
 @dataclass(frozen=True)
-class LinkLoadLine:
+class LinkLoadLine(Record):
     """Measured load on one torus link over the run horizon.
 
     Attributes:
@@ -327,27 +188,6 @@ class LinkLoadLine:
     mean_utilization: float
     peak_utilization: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "src": list(self.src),
-            "dst": list(self.dst),
-            "dimension": self.dimension,
-            "carried_bytes": self.carried_bytes,
-            "mean_utilization": self.mean_utilization,
-            "peak_utilization": self.peak_utilization,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LinkLoadLine":
-        return cls(
-            src=tuple(data["src"]),
-            dst=tuple(data["dst"]),
-            dimension=data["dimension"],
-            carried_bytes=data["carried_bytes"],
-            mean_utilization=data["mean_utilization"],
-            peak_utilization=data["peak_utilization"],
-        )
-
 
 #: Relative carried-bytes slack under which a link counts as idle; mirrors
 #: ``repro.sim.telemetry.IDLE_TOLERANCE`` (summed float integrals are never
@@ -356,7 +196,7 @@ _IDLE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class LinkUtilizationReport:
+class LinkUtilizationReport(Record):
     """Measured per-link load for the whole scenario — the stranded-
     bandwidth story (Figure 5c) told from the simulator rather than
     closed form.
@@ -434,38 +274,19 @@ class LinkUtilizationReport:
             d: idles.get(d, 0) / totals[d] for d in sorted(totals)
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :meth:`from_dict`.
-
-        Derived views (idle links, stranded fraction, busiest-5) are
-        included for human consumption but recomputed — not read back —
-        by ``from_dict``, so the round-trip stays exact.
-        """
-        return {
-            "horizon_s": self.horizon_s,
-            "link_capacity_bytes_per_s": self.link_capacity_bytes_per_s,
-            "mean_utilization": self.mean_utilization,
-            "links": [line.to_dict() for line in self.links],
-            "idle_links": [
-                {"src": list(line.src), "dst": list(line.dst)}
-                for line in self.idle_links()
-            ],
-            "stranded_fraction": self.stranded_fraction,
-            "busiest": [line.to_dict() for line in self.busiest()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LinkUtilizationReport":
-        return cls(
-            horizon_s=data["horizon_s"],
-            link_capacity_bytes_per_s=data["link_capacity_bytes_per_s"],
-            mean_utilization=data["mean_utilization"],
-            links=tuple(LinkLoadLine.from_dict(li) for li in data["links"]),
-        )
+    #: Views for human readers: written after the fields, recomputed —
+    #: not read back — so the round trip stays exact.
+    _derived = {
+        "idle_links": lambda report: [
+            {"src": line.src, "dst": line.dst} for line in report.idle_links()
+        ],
+        "stranded_fraction": lambda report: report.stranded_fraction,
+        "busiest": lambda report: report.busiest(),
+    }
 
 
 @dataclass(frozen=True)
-class CircuitLine:
+class CircuitLine(Record):
     """One established repair circuit (optical repair, Figure 7)."""
 
     src: tuple[int, ...]
@@ -473,48 +294,18 @@ class CircuitLine:
     server_path: tuple[tuple[int, ...], ...]
     fiber_hops: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "src": list(self.src),
-            "dst": list(self.dst),
-            "server_path": [list(s) for s in self.server_path],
-            "fiber_hops": self.fiber_hops,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CircuitLine":
-        return cls(
-            src=tuple(data["src"]),
-            dst=tuple(data["dst"]),
-            server_path=tuple(tuple(s) for s in data["server_path"]),
-            fiber_hops=data["fiber_hops"],
-        )
-
 
 @dataclass(frozen=True)
-class AttemptLine:
+class AttemptLine(Record):
     """One candidate free chip evaluated as an electrical replacement."""
 
     free_chip: tuple[int, ...]
     feasible: bool
     congested_links: int
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["free_chip"] = list(self.free_chip)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AttemptLine":
-        return cls(
-            free_chip=tuple(data["free_chip"]),
-            feasible=data["feasible"],
-            congested_links=data["congested_links"],
-        )
-
 
 @dataclass(frozen=True)
-class RepairReport:
+class RepairReport(Record):
     """Outcome of repairing the spec's failed chip on this fabric.
 
     Attributes:
@@ -541,46 +332,9 @@ class RepairReport:
     blast_radius_chips: int = 0
     attempts: tuple[AttemptLine, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "failed": list(self.failed),
-            "feasible": self.feasible,
-            "replacement": (
-                list(self.replacement) if self.replacement is not None else None
-            ),
-            "circuits": [c.to_dict() for c in self.circuits],
-            "setup_latency_s": self.setup_latency_s,
-            "fibers_used": self.fibers_used,
-            "blast_radius_chips": self.blast_radius_chips,
-            "attempts": [a.to_dict() for a in self.attempts],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RepairReport":
-        return cls(
-            kind=data["kind"],
-            failed=tuple(data["failed"]),
-            feasible=data["feasible"],
-            replacement=(
-                tuple(data["replacement"])
-                if data.get("replacement") is not None
-                else None
-            ),
-            circuits=tuple(
-                CircuitLine.from_dict(c) for c in data.get("circuits", ())
-            ),
-            setup_latency_s=data.get("setup_latency_s", 0.0),
-            fibers_used=data.get("fibers_used", 0),
-            blast_radius_chips=data.get("blast_radius_chips", 0),
-            attempts=tuple(
-                AttemptLine.from_dict(a) for a in data.get("attempts", ())
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class PolicyLine:
+class PolicyLine(Record):
     """Blast-radius metrics of one recovery policy over a failure trace."""
 
     policy: str
@@ -590,16 +344,9 @@ class PolicyLine:
     total_downtime_s: float
     lost_chip_seconds: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PolicyLine":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class BlastRadiusSummary:
+class BlastRadiusSummary(Record):
     """Rack-migration vs optical-repair comparison (Section 4.2)."""
 
     days: float
@@ -607,26 +354,9 @@ class BlastRadiusSummary:
     optical_policy: PolicyLine
     improvement_factor: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "days": self.days,
-            "rack_policy": self.rack_policy.to_dict(),
-            "optical_policy": self.optical_policy.to_dict(),
-            "improvement_factor": self.improvement_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "BlastRadiusSummary":
-        return cls(
-            days=data["days"],
-            rack_policy=PolicyLine.from_dict(data["rack_policy"]),
-            optical_policy=PolicyLine.from_dict(data["optical_policy"]),
-            improvement_factor=data["improvement_factor"],
-        )
-
 
 @dataclass(frozen=True)
-class FleetSeriesPoint:
+class FleetSeriesPoint(Record):
     """One bucket of the fleet availability time series.
 
     Attributes:
@@ -639,16 +369,9 @@ class FleetSeriesPoint:
     end_s: float
     mean_available_chips: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FleetSeriesPoint":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FleetPolicyReport:
+class FleetPolicyReport(Record):
     """One fabric's measured year (or span) of fleet life.
 
     Attributes:
@@ -693,36 +416,9 @@ class FleetPolicyReport:
         if self.min_available_chips < 0:
             raise ValueError("min_available_chips cannot be negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["series"] = [p.to_dict() for p in self.series]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FleetPolicyReport":
-        return cls(
-            fabric=data["fabric"],
-            failures=data["failures"],
-            repairs=data["repairs"],
-            unrepaired=data["unrepaired"],
-            events_processed=data["events_processed"],
-            mean_availability=data["mean_availability"],
-            min_available_chips=data["min_available_chips"],
-            peak_failed_chips=data["peak_failed_chips"],
-            lost_chip_seconds=data["lost_chip_seconds"],
-            collateral_chip_seconds=data["collateral_chip_seconds"],
-            ttr_p50_s=data["ttr_p50_s"],
-            ttr_p90_s=data["ttr_p90_s"],
-            ttr_p99_s=data["ttr_p99_s"],
-            ttr_max_s=data["ttr_max_s"],
-            series=tuple(
-                FleetSeriesPoint.from_dict(p) for p in data["series"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(Record):
     """Electrical vs photonic fleet reliability (the ``"fleet"`` output).
 
     Both fabrics simulate the same seeded failure renewal process under
@@ -763,42 +459,17 @@ class FleetReport:
             / self.photonic.lost_chip_seconds
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :meth:`from_dict`.
-
-        The derived gap figures are included for human consumption but
-        recomputed — not read back — so the round-trip stays exact
-        (``inf`` would not survive JSON anyway).
-        """
-        return {
-            "days": self.days,
-            "chips": self.chips,
-            "seed": self.seed,
-            "policy": self.policy,
-            "electrical": self.electrical.to_dict(),
-            "photonic": self.photonic.to_dict(),
-            "availability_gap": self.availability_gap,
-            "downtime_reduction_factor": (
-                None
-                if self.downtime_reduction_factor == float("inf")
-                else self.downtime_reduction_factor
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FleetReport":
-        return cls(
-            days=data["days"],
-            chips=data["chips"],
-            seed=data["seed"],
-            policy=data["policy"],
-            electrical=FleetPolicyReport.from_dict(data["electrical"]),
-            photonic=FleetPolicyReport.from_dict(data["photonic"]),
-        )
+    #: The gap figures, written for human readers and recomputed on read.
+    _derived = {
+        "availability_gap": lambda report: report.availability_gap,
+        "downtime_reduction_factor": (
+            lambda report: report.downtime_reduction_factor
+        ),
+    }
 
 
 @dataclass(frozen=True)
-class TenancySeriesPoint:
+class TenancySeriesPoint(Record):
     """One bucket of the tenancy occupancy/fragmentation time series.
 
     Attributes:
@@ -818,16 +489,9 @@ class TenancySeriesPoint:
     largest_allocatable_chips: int
     free_chips: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TenancySeriesPoint":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TenancyPolicyReport:
+class TenancyPolicyReport(Record):
     """One fabric's measured span of multi-tenant churn.
 
     Attributes:
@@ -887,43 +551,9 @@ class TenancyPolicyReport:
         if self.stranded_chip_seconds < 0:
             raise ValueError("stranded_chip_seconds cannot be negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["series"] = [p.to_dict() for p in self.series]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TenancyPolicyReport":
-        return cls(
-            fabric=data["fabric"],
-            steering=data["steering"],
-            arrivals=data["arrivals"],
-            placed=data["placed"],
-            steered_placements=data["steered_placements"],
-            rejected=data["rejected"],
-            completed=data["completed"],
-            running_at_horizon=data["running_at_horizon"],
-            queued_at_horizon=data["queued_at_horizon"],
-            defrag_moves=data["defrag_moves"],
-            events_processed=data["events_processed"],
-            mean_occupancy=data["mean_occupancy"],
-            queue_delay_mean_s=data["queue_delay_mean_s"],
-            queue_delay_p50_s=data["queue_delay_p50_s"],
-            queue_delay_p90_s=data["queue_delay_p90_s"],
-            queue_delay_p99_s=data["queue_delay_p99_s"],
-            queue_delay_max_s=data["queue_delay_max_s"],
-            rejection_rate=data["rejection_rate"],
-            stranded_chip_seconds=data["stranded_chip_seconds"],
-            stranded_fraction=data["stranded_fraction"],
-            circuits_peak=data["circuits_peak"],
-            series=tuple(
-                TenancySeriesPoint.from_dict(p) for p in data["series"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class TenancyReport:
+class TenancyReport(Record):
     """Electrical vs photonic scheduling quality (``"tenancy"`` output).
 
     Both fabrics place the same seeded job stream under the same base
@@ -972,45 +602,18 @@ class TenancyReport:
             / self.photonic.stranded_chip_seconds
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :meth:`from_dict`.
-
-        The derived gap figures are included for human consumption but
-        recomputed — not read back — so the round-trip stays exact
-        (``inf`` would not survive JSON anyway).
-        """
-        return {
-            "days": self.days,
-            "chips": self.chips,
-            "seed": self.seed,
-            "policy": self.policy,
-            "profile": self.profile,
-            "electrical": self.electrical.to_dict(),
-            "photonic": self.photonic.to_dict(),
-            "queue_delay_gap_s": self.queue_delay_gap_s,
-            "rejection_gap": self.rejection_gap,
-            "stranded_reduction_factor": (
-                None
-                if self.stranded_reduction_factor == float("inf")
-                else self.stranded_reduction_factor
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TenancyReport":
-        return cls(
-            days=data["days"],
-            chips=data["chips"],
-            seed=data["seed"],
-            policy=data["policy"],
-            profile=data["profile"],
-            electrical=TenancyPolicyReport.from_dict(data["electrical"]),
-            photonic=TenancyPolicyReport.from_dict(data["photonic"]),
-        )
+    #: The gap figures, written for human readers and recomputed on read.
+    _derived = {
+        "queue_delay_gap_s": lambda report: report.queue_delay_gap_s,
+        "rejection_gap": lambda report: report.rejection_gap,
+        "stranded_reduction_factor": (
+            lambda report: report.stranded_reduction_factor
+        ),
+    }
 
 
 @dataclass(frozen=True)
-class DeviceReport:
+class DeviceReport(Record):
     """Physical-layer device characterization (Figures 3a/3b)."""
 
     mzi_tau_s: float
@@ -1020,26 +623,9 @@ class DeviceReport:
     stitch_mean_db: float
     stitch_p95_db: float
 
-    def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["stitch_bin_edges_db"] = list(self.stitch_bin_edges_db)
-        data["stitch_counts"] = list(self.stitch_counts)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DeviceReport":
-        return cls(
-            mzi_tau_s=data["mzi_tau_s"],
-            mzi_settling_s=data["mzi_settling_s"],
-            stitch_bin_edges_db=tuple(data["stitch_bin_edges_db"]),
-            stitch_counts=tuple(data["stitch_counts"]),
-            stitch_mean_db=data["stitch_mean_db"],
-            stitch_p95_db=data["stitch_p95_db"],
-        )
-
 
 @dataclass(frozen=True)
-class TraceReport:
+class TraceReport(Record):
     """The scenario's event timeline (the ``"trace"`` output).
 
     Events come from a :class:`~repro.obs.tracer.Tracer` the backend
@@ -1049,12 +635,12 @@ class TraceReport:
     golden-testable.
 
     Attributes:
-        events: every recorded event, in emission order.
         time_unit: timestamp unit (always ``"us"``).
+        events: every recorded event, in emission order.
     """
 
-    events: tuple[TraceEvent, ...]
     time_unit: str = "us"
+    events: tuple[TraceEvent, ...] = ()
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceReport":
@@ -1104,22 +690,9 @@ class TraceReport:
             "traceEvents": [e.to_dict() for e in ordered],
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "time_unit": self.time_unit,
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TraceReport":
-        return cls(
-            events=tuple(TraceEvent.from_dict(e) for e in data["events"]),
-            time_unit=data.get("time_unit", "us"),
-        )
-
 
 @dataclass(frozen=True)
-class MetricLine:
+class MetricLine(Record):
     """One named metric value (the rows of a :class:`MetricsReport`).
 
     Attributes:
@@ -1134,21 +707,9 @@ class MetricLine:
     value: float
     count: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MetricLine":
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            value=data["value"],
-            count=data.get("count", 0),
-        )
-
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
     """Deterministic simulator counters (the ``"metrics"`` output).
 
     Entries are sorted by name, and every value derives from simulation
@@ -1204,18 +765,9 @@ class MetricsReport:
                 )
         return cls(entries=tuple(entries))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"entries": [line.to_dict() for line in self.entries]}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MetricsReport":
-        return cls(
-            entries=tuple(MetricLine.from_dict(e) for e in data["entries"])
-        )
-
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """Everything one spec evaluation produced; sections not requested
     by ``spec.outputs`` are ``None``.
     """
@@ -1231,131 +783,27 @@ class RunResult:
     repair: RepairReport | None = None
     blast_radius: BlastRadiusSummary | None = None
     device: DeviceReport | None = None
-    trace: TraceReport | None = None
-    metrics: MetricsReport | None = None
-    fleet: FleetReport | None = None
-    tenancy: TenancyReport | None = None
+    # Written only when present: results that never requested these
+    # sections keep the bytes they had before the sections existed.
+    trace: TraceReport | None = field(default=None, metadata=OPTIONAL)
+    metrics: MetricsReport | None = field(default=None, metadata=OPTIONAL)
+    fleet: FleetReport | None = field(default=None, metadata=OPTIONAL)
+    tenancy: TenancyReport | None = field(default=None, metadata=OPTIONAL)
 
+    # The entry points are RunResult's own (not Record's), so per-class
+    # instrumentation can tell result decoding from spec parsing.
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :meth:`from_dict`.
-
-        The newer sections (``trace``, ``metrics``, ``fleet``) are
-        emitted only when present: results that never requested them
-        serialize to the exact bytes they did before those sections
-        existed, which keeps the golden files (and every archived
-        result) stable.
-        """
-        data = {
-            "spec": self.spec.to_dict(),
-            "fabric": self.fabric,
-            "capabilities": (
-                [list(r) for r in self.capabilities]
-                if self.capabilities is not None
-                else None
-            ),
-            "costs": self.costs.to_dict() if self.costs else None,
-            "utilization": (
-                [u.to_dict() for u in self.utilization]
-                if self.utilization is not None
-                else None
-            ),
-            "congestion": self.congestion.to_dict() if self.congestion else None,
-            "telemetry": self.telemetry.to_dict() if self.telemetry else None,
-            "link_utilization": (
-                self.link_utilization.to_dict()
-                if self.link_utilization
-                else None
-            ),
-            "repair": self.repair.to_dict() if self.repair else None,
-            "blast_radius": (
-                self.blast_radius.to_dict() if self.blast_radius else None
-            ),
-            "device": self.device.to_dict() if self.device else None,
-        }
-        if self.trace is not None:
-            data["trace"] = self.trace.to_dict()
-        if self.metrics is not None:
-            data["metrics"] = self.metrics.to_dict()
-        if self.fleet is not None:
-            data["fleet"] = self.fleet.to_dict()
-        if self.tenancy is not None:
-            data["tenancy"] = self.tenancy.to_dict()
-        return data
+        """JSON-safe representation; inverse of :meth:`from_dict`."""
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunResult":
-        return cls(
-            spec=ScenarioSpec.from_dict(data["spec"]),
-            fabric=data["fabric"],
-            capabilities=(
-                tuple(tuple(r) for r in data["capabilities"])
-                if data.get("capabilities") is not None
-                else None
-            ),
-            costs=(
-                CostReport.from_dict(data["costs"]) if data.get("costs") else None
-            ),
-            utilization=(
-                tuple(UtilizationRow.from_dict(u) for u in data["utilization"])
-                if data.get("utilization") is not None
-                else None
-            ),
-            congestion=(
-                CongestionSummary.from_dict(data["congestion"])
-                if data.get("congestion")
-                else None
-            ),
-            telemetry=(
-                TelemetryReport.from_dict(data["telemetry"])
-                if data.get("telemetry")
-                else None
-            ),
-            link_utilization=(
-                LinkUtilizationReport.from_dict(data["link_utilization"])
-                if data.get("link_utilization")
-                else None
-            ),
-            repair=(
-                RepairReport.from_dict(data["repair"])
-                if data.get("repair")
-                else None
-            ),
-            blast_radius=(
-                BlastRadiusSummary.from_dict(data["blast_radius"])
-                if data.get("blast_radius")
-                else None
-            ),
-            device=(
-                DeviceReport.from_dict(data["device"])
-                if data.get("device")
-                else None
-            ),
-            trace=(
-                TraceReport.from_dict(data["trace"])
-                if data.get("trace")
-                else None
-            ),
-            metrics=(
-                MetricsReport.from_dict(data["metrics"])
-                if data.get("metrics")
-                else None
-            ),
-            fleet=(
-                FleetReport.from_dict(data["fleet"])
-                if data.get("fleet")
-                else None
-            ),
-            tenancy=(
-                TenancyReport.from_dict(data["tenancy"])
-                if data.get("tenancy")
-                else None
-            ),
-        )
+        return decode(cls, data)
 
     def to_json(self, **kwargs: Any) -> str:
         """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), **kwargs)
+        return json.dumps(encode(self), **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
-        return cls.from_dict(json.loads(text))
+        return decode(cls, json.loads(text))

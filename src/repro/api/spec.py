@@ -7,7 +7,9 @@ closed-form or measured on the discrete-event simulator, and an optional
 failure plan. Because the spec is frozen and built from tuples it can key
 the :class:`~repro.api.session.FabricSession` memoization caches, and its
 ``to_dict``/``from_dict`` pair round-trips through JSON so specs can be
-stored, diffed, and replayed.
+stored, diffed, and replayed. Every spec class is a
+:class:`~repro.api.codec.Record`, so a value of the wrong JSON kind or an
+unknown key is a ``TypeError`` naming ``Class.field``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any
+
+from .codec import OPTIONAL, Record, decode, encode
 
 __all__ = [
     "SliceSpec",
@@ -55,7 +59,7 @@ def _int_tuple(values: Any) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SliceSpec:
+class SliceSpec(Record):
     """One tenant slice of the rack torus.
 
     Attributes:
@@ -77,17 +81,9 @@ class SliceSpec:
                 f"{self.offset} disagree on dimensionality"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SliceSpec":
-        return cls(
-            name=data["name"],
-            shape=_int_tuple(data["shape"]),
-            offset=_int_tuple(data["offset"]),
-        )
-
 
 @dataclass(frozen=True)
-class FailurePlan:
+class FailurePlan(Record):
     """What fails and how the recovery is evaluated.
 
     Attributes:
@@ -117,23 +113,9 @@ class FailurePlan:
         if self.fleet_days < 0:
             raise ValueError("fleet_days cannot be negative")
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FailurePlan":
-        return cls(
-            failed_chips=tuple(tuple(c) for c in data.get("failed_chips", ())),
-            max_hops=data.get("max_hops", 5),
-            replacement=(
-                tuple(data["replacement"])
-                if data.get("replacement") is not None
-                else None
-            ),
-            fleet_days=data.get("fleet_days", 0.0),
-            seed=data.get("seed", 2024),
-        )
-
 
 @dataclass(frozen=True)
-class FleetPlan:
+class FleetPlan(Record):
     """Year-scale fleet reliability simulation (the ``"fleet"`` output).
 
     Parameterizes :mod:`repro.fleet`: a renewal failure process over the
@@ -195,40 +177,9 @@ class FleetPlan:
         if self.series_points < 1:
             raise ValueError("series_points must be at least 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "days": self.days,
-            "seed": self.seed,
-            "policy": self.policy,
-            "lazy_threshold": self.lazy_threshold,
-            "batch_interval_s": self.batch_interval_s,
-            "max_concurrent_migrations": self.max_concurrent_migrations,
-            "spare_inventory": self.spare_inventory,
-            "spare_replenish_s": self.spare_replenish_s,
-            "mtbf_years": self.mtbf_years,
-            "racks": self.racks,
-            "series_points": self.series_points,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FleetPlan":
-        return cls(
-            days=data.get("days", 0.0),
-            seed=data.get("seed", 0),
-            policy=data.get("policy", "immediate"),
-            lazy_threshold=data.get("lazy_threshold", 4),
-            batch_interval_s=data.get("batch_interval_s", 21600.0),
-            max_concurrent_migrations=data.get("max_concurrent_migrations", 4),
-            spare_inventory=data.get("spare_inventory", 8),
-            spare_replenish_s=data.get("spare_replenish_s", 86400.0),
-            mtbf_years=data.get("mtbf_years", 5.0),
-            racks=data.get("racks", 64),
-            series_points=data.get("series_points", 48),
-        )
-
 
 @dataclass(frozen=True)
-class TenancyPlan:
+class TenancyPlan(Record):
     """Multi-tenant churn simulation (the ``"tenancy"`` output).
 
     Parameterizes :mod:`repro.tenancy`: a seeded stream of tenant jobs
@@ -297,40 +248,9 @@ class TenancyPlan:
         if self.series_points < 1:
             raise ValueError("series_points must be at least 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "days": self.days,
-            "seed": self.seed,
-            "arrivals_per_day": self.arrivals_per_day,
-            "profile": self.profile,
-            "policy": self.policy,
-            "steering": self.steering,
-            "mean_duration_s": self.mean_duration_s,
-            "max_queue_wait_s": self.max_queue_wait_s,
-            "racks": self.racks,
-            "steer_circuits": self.steer_circuits,
-            "series_points": self.series_points,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TenancyPlan":
-        return cls(
-            days=data.get("days", 0.0),
-            seed=data.get("seed", 0),
-            arrivals_per_day=data.get("arrivals_per_day", 1500.0),
-            profile=data.get("profile", "poisson"),
-            policy=data.get("policy", "first-fit"),
-            steering=data.get("steering", True),
-            mean_duration_s=data.get("mean_duration_s", 1200.0),
-            max_queue_wait_s=data.get("max_queue_wait_s", 3600.0),
-            racks=data.get("racks", 4),
-            steer_circuits=data.get("steer_circuits", 64),
-            series_points=data.get("series_points", 24),
-        )
-
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(Record):
     """Sampling parameters for the physical-layer device reports.
 
     Defaults reproduce the paper's Figure 3a (MZI step response) and
@@ -342,13 +262,9 @@ class DeviceSpec:
     stitch_samples: int = 20000
     stitch_bins: int = 24
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DeviceSpec":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """A complete, frozen description of one fabric experiment.
 
     Attributes:
@@ -379,8 +295,10 @@ class ScenarioSpec:
     mode: str = "closed_form"
     outputs: tuple[str, ...] = ("costs",)
     failures: FailurePlan = field(default_factory=FailurePlan)
-    fleet: FleetPlan = field(default_factory=FleetPlan)
-    tenancy: TenancyPlan = field(default_factory=TenancyPlan)
+    # Written only when configured: default-plan specs keep the bytes
+    # (and spec keys, and goldens) they had before these plans existed.
+    fleet: FleetPlan = field(default_factory=FleetPlan, metadata=OPTIONAL)
+    tenancy: TenancyPlan = field(default_factory=TenancyPlan, metadata=OPTIONAL)
     device: DeviceSpec = field(default_factory=DeviceSpec)
     seed: int = 42
 
@@ -433,83 +351,24 @@ class ScenarioSpec:
         return replace(self, outputs=tuple(outputs))
 
     # -- serialization -----------------------------------------------------------
+    # The entry points are ScenarioSpec's own (not Record's), so per-class
+    # instrumentation can tell spec parsing from result decoding.
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :meth:`from_dict`.
-
-        Built by hand rather than through :func:`dataclasses.asdict`:
-        the deep-copying generic walk dominated sweep profiles (every
-        cache lookup serializes the spec to compute its content key).
-        """
-        failures = self.failures
-        device = self.device
-        data = {
-            "fabric": self.fabric,
-            "rack_shape": list(self.rack_shape),
-            "slices": [
-                {
-                    "name": s.name,
-                    "shape": list(s.shape),
-                    "offset": list(s.offset),
-                }
-                for s in self.slices
-            ],
-            "collective": self.collective,
-            "buffer_bytes": self.buffer_bytes,
-            "mode": self.mode,
-            "outputs": list(self.outputs),
-            "failures": {
-                "failed_chips": [list(c) for c in failures.failed_chips],
-                "max_hops": failures.max_hops,
-                "replacement": (
-                    list(failures.replacement)
-                    if failures.replacement is not None
-                    else None
-                ),
-                "fleet_days": failures.fleet_days,
-                "seed": failures.seed,
-            },
-            "device": {
-                "mzi_duration_s": device.mzi_duration_s,
-                "mzi_samples": device.mzi_samples,
-                "stitch_samples": device.stitch_samples,
-                "stitch_bins": device.stitch_bins,
-            },
-            "seed": self.seed,
-        }
-        # Emitted only when configured: default-fleet specs keep the
-        # exact serialization bytes (and spec keys, and golden files)
-        # they had before the fleet section existed.
-        if self.fleet != FleetPlan():
-            data["fleet"] = self.fleet.to_dict()
-        if self.tenancy != TenancyPlan():
-            data["tenancy"] = self.tenancy.to_dict()
-        return data
+        """JSON-safe representation; inverse of :meth:`from_dict`."""
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        return cls(
-            fabric=data.get("fabric", "photonic"),
-            rack_shape=_int_tuple(data.get("rack_shape", (4, 4, 4))),
-            slices=tuple(SliceSpec.from_dict(s) for s in data.get("slices", ())),
-            collective=data.get("collective", "reduce_scatter"),
-            buffer_bytes=data.get("buffer_bytes", 1 << 26),
-            mode=data.get("mode", "closed_form"),
-            outputs=tuple(data.get("outputs", ("costs",))),
-            failures=FailurePlan.from_dict(data.get("failures", {})),
-            fleet=FleetPlan.from_dict(data.get("fleet", {})),
-            tenancy=TenancyPlan.from_dict(data.get("tenancy", {})),
-            device=DeviceSpec.from_dict(data.get("device", {})),
-            seed=data.get("seed", 42),
-        )
+        return decode(cls, data)
 
     def to_json(self, **kwargs: Any) -> str:
         """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), **kwargs)
+        return json.dumps(encode(self), **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
+        return decode(cls, json.loads(text))
 
 
 # -- canonical paper scenarios ---------------------------------------------------

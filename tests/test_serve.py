@@ -13,12 +13,17 @@ import threading
 import time
 from pathlib import Path
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.api import ScenarioSpec
 from repro.api.batch import SpecRun
 from repro.serve import (
+    EvaluateRequestError,
     EvaluationService,
     QueueFull,
     ServeClient,
@@ -26,6 +31,7 @@ from repro.serve import (
     ServerConfig,
     ServerThread,
     ShuttingDown,
+    parse_evaluate_request,
     wire,
 )
 
@@ -535,6 +541,106 @@ class TestWireLimits:
         error = json.loads(body)["error"]
         assert error["status"] == status
         assert error["code"] == "protocol_error"
+
+
+#: Spec bodies a parser must refuse, with the ``Class.field`` the 400
+#: names: wrong JSON kinds at the top level and inside plans, values the
+#: parser once coerced, and an unknown key.
+BAD_SPEC_BODIES = [
+    ({"failures": []}, "ScenarioSpec.failures"),
+    ({"fleet": None}, "ScenarioSpec.fleet"),
+    ({"fleet": "x"}, "ScenarioSpec.fleet"),
+    ({"tenancy": [1]}, "ScenarioSpec.tenancy"),
+    ({"seed": []}, "ScenarioSpec.seed"),
+    ({"collective": {}}, "ScenarioSpec.collective"),
+    ({"rack_shape": ["4", "4", "4"]}, "ScenarioSpec.rack_shape"),
+    ({"failures": {"max_hops": 5.0}}, "FailurePlan.max_hops"),
+    ({"tenancy": {"steering": 1}}, "TenancyPlan.steering"),
+    ({"buffer_byte": 1}, "ScenarioSpec.buffer_byte"),
+]
+
+
+def _evaluate_request(body) -> wire.Request:
+    return wire.Request(
+        "POST", "/v1/evaluate", {}, json.dumps(body).encode("utf-8")
+    )
+
+
+def _keys(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+#: Any JSON value (NaN and infinities included: the parser accepts them).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _object(cls) -> st.SearchStrategy:
+    """A JSON object keyed mostly by ``cls``'s fields, arbitrary values."""
+    keys = st.sampled_from(_keys(cls)) | st.text(max_size=6)
+    return st.dictionaries(keys, _JSON, max_size=4)
+
+
+_PLAN_OBJECTS = {
+    "slices": st.lists(_object(api.SliceSpec), max_size=2),
+    "failures": _object(api.FailurePlan),
+    "fleet": _object(api.FleetPlan),
+    "tenancy": _object(api.TenancyPlan),
+    "device": _object(api.DeviceSpec),
+}
+_SPEC_BODIES = st.fixed_dictionaries(
+    {},
+    optional={
+        key: (_PLAN_OBJECTS[key] | _JSON) if key in _PLAN_OBJECTS else _JSON
+        for key in _keys(ScenarioSpec)
+    },
+)
+
+
+class TestSpecBoundary:
+    """A spec body of the wrong shape is a 400 ``bad_spec``, never an
+    escaped exception or a spec that fails later."""
+
+    @pytest.mark.parametrize(
+        "body, where", BAD_SPEC_BODIES,
+        ids=[json.dumps(body) for body, _ in BAD_SPEC_BODIES],
+    )
+    def test_wrong_kind_is_400_naming_the_field(self, body, where):
+        with pytest.raises(EvaluateRequestError) as excinfo:
+            parse_evaluate_request(_evaluate_request(body))
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_spec"
+        assert where in str(excinfo.value)
+
+    def test_server_answers_wrong_kind_with_400_envelope(self, live_server):
+        body = b'{"failures": []}'
+        got, headers, reply = _raw_exchange(
+            live_server.port,
+            b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert got == 400
+        assert int(headers["content-length"]) == len(reply)
+        error = json.loads(reply)["error"]
+        assert error["status"] == 400
+        assert error["code"] == "bad_spec"
+        assert "ScenarioSpec.failures" in error["message"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_SPEC_BODIES)
+    def test_any_json_gives_a_keyable_spec_or_400(self, body):
+        try:
+            spec, _ = parse_evaluate_request(_evaluate_request(body))
+        except EvaluateRequestError as exc:
+            assert exc.status == 400
+        else:
+            assert len(api.spec_key(spec)) == 64
 
 
 class TestHttpIntrospection:
