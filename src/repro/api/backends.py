@@ -463,6 +463,7 @@ class _TorusBackendBase:
                 policy=plan.policy,
                 lazy_threshold=plan.lazy_threshold,
                 batch_interval_s=plan.batch_interval_s,
+                log=session.log,
             )
             return FleetPolicyReport(
                 fabric=stats.fabric,
@@ -533,6 +534,7 @@ class _TorusBackendBase:
                 fabric,
                 policy=plan.policy,
                 steering=plan.steering and fabric == "photonic",
+                log=session.log,
             )
             return TenancyPolicyReport(
                 fabric=stats.fabric,

@@ -30,6 +30,7 @@ from ..analysis.congestion_report import (
 )
 from ..analysis.utilization import slice_utilization
 from ..kernels import STATS as _KERNEL_STATS
+from ..obs.log import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer
 from ..topology.electrical import ElectricalInterconnect
@@ -68,6 +69,9 @@ class FabricSession:
             cache-probe and evaluation spans into (the serving tier
             passes its per-process tracer; defaults to the zero-overhead
             :data:`~repro.obs.runtime.NULL_RUNTIME_TRACER`).
+        log: optional :class:`~repro.obs.log.EventLog` for the fleet and
+            tenancy simulations' ``*.progress`` heartbeats; a result
+            served from the cache runs no simulation and sends none.
     """
 
     def __init__(
@@ -75,8 +79,10 @@ class FabricSession:
         result_cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
         runtime: RuntimeTracer | None = None,
+        log: EventLog | None = None,
     ) -> None:
         self.runtime = runtime if runtime is not None else NULL_RUNTIME_TRACER
+        self.log = log
         self._backends: dict[str, FabricBackend] = {}
         self._tori: dict[tuple[int, ...], Torus] = {}
         self._allocators: dict[tuple, SliceAllocator] = {}

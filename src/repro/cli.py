@@ -42,6 +42,7 @@ from . import api
 from .analysis.tables import cost_row, render_histogram, render_table
 from .analysis.trace_summary import render_trace_summary
 from .analysis.utilization import compare_link_utilization, dimension_utilization
+from .obs.log import EventLog
 from .obs.metrics import MetricsRegistry
 
 __all__ = ["main", "build_parser"]
@@ -221,18 +222,17 @@ def _cmd_blast_radius(args: argparse.Namespace) -> int:
     return 0
 
 
+def _progress_session(args: argparse.Namespace, source: str) -> api.FabricSession:
+    """With ``--progress``, a session whose log writes ``<source>.progress``
+    heartbeats to stderr as JSONL; the default session otherwise."""
+    if not args.progress:
+        return api.default_session()
+    return api.FabricSession(log=EventLog(sys.stderr, level="info", source=source))
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """A year (or ``--days``) of fleet life, electrical vs photonic."""
-    if args.progress:
-        # ScenarioSpec is a frozen cache key, so the progress log cannot
-        # ride on the spec — it is installed process-wide for whatever
-        # simulations this command runs. Cached results skip simulation
-        # and therefore emit no heartbeats.
-        from .fleet import set_progress_log
-        from .obs.log import EventLog
-
-        set_progress_log(EventLog(sys.stderr, level="info", source="fleet"))
-    result = api.run(api.ScenarioSpec(
+    result = _progress_session(args, "fleet").run(api.ScenarioSpec(
         fabric="photonic",
         outputs=("fleet",),
         fleet=api.FleetPlan(
@@ -280,16 +280,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_tenancy(args: argparse.Namespace) -> int:
     """Days of multi-tenant churn, electrical vs photonic."""
-    if args.progress:
-        # ScenarioSpec is a frozen cache key, so the progress log cannot
-        # ride on the spec — it is installed process-wide for whatever
-        # simulations this command runs. Cached results skip simulation
-        # and therefore emit no heartbeats.
-        from .obs.log import EventLog
-        from .tenancy import set_progress_log
-
-        set_progress_log(EventLog(sys.stderr, level="info", source="tenancy"))
-    result = api.run(api.ScenarioSpec(
+    result = _progress_session(args, "tenancy").run(api.ScenarioSpec(
         fabric="photonic",
         outputs=("tenancy",),
         tenancy=api.TenancyPlan(

@@ -21,7 +21,6 @@ from .simulator import (
     FleetConfig,
     FleetSimulator,
     FleetStats,
-    set_progress_log,
     simulate_fleet,
 )
 
@@ -38,5 +37,4 @@ __all__ = [
     "FleetSimulator",
     "FleetStats",
     "simulate_fleet",
-    "set_progress_log",
 ]

@@ -35,17 +35,19 @@ POLICY_NAMES = ("immediate", "lazy", "batched")
 
 
 class RepairPolicy(Protocol):
-    """Dispatch scheduling contract the simulator drives."""
+    """Dispatch scheduling contract the simulator drives. The simulator
+    passes its ``dispatch`` sink into each call; a policy keeps it only
+    in timers on the run's engine, which drops them when the run ends."""
 
     name: str
 
     def start(
         self, engine: EventEngine, dispatch: Callable[[int], None]
     ) -> None:
-        """Bind the run's engine and dispatch sink before events flow."""
+        """Arm any timers on the run's engine before events flow."""
         ...
 
-    def on_failure(self, chip: int) -> None:
+    def on_failure(self, chip: int, dispatch: Callable[[int], None]) -> None:
         """A chip just failed; dispatch it now or hold it."""
         ...
 
@@ -60,16 +62,13 @@ class ImmediatePolicy:
 
     name = "immediate"
 
-    def __init__(self) -> None:
-        self._dispatch: Callable[[int], None] | None = None
-
     def start(
         self, engine: EventEngine, dispatch: Callable[[int], None]
     ) -> None:
-        self._dispatch = dispatch
+        pass
 
-    def on_failure(self, chip: int) -> None:
-        self._dispatch(chip)
+    def on_failure(self, chip: int, dispatch: Callable[[int], None]) -> None:
+        dispatch(chip)
 
     @property
     def held(self) -> int:
@@ -80,18 +79,17 @@ class _HoldingPolicy:
     """Shared pending-queue plumbing for the batching policies."""
 
     def __init__(self) -> None:
-        self._dispatch: Callable[[int], None] | None = None
         self._pending: list[int] = []
 
     def start(
         self, engine: EventEngine, dispatch: Callable[[int], None]
     ) -> None:
-        self._dispatch = dispatch
+        pass
 
-    def _flush(self) -> None:
+    def _flush(self, dispatch: Callable[[int], None]) -> None:
         pending, self._pending = self._pending, []
         for chip in pending:
-            self._dispatch(chip)
+            dispatch(chip)
 
     @property
     def held(self) -> int:
@@ -109,10 +107,10 @@ class LazyThresholdPolicy(_HoldingPolicy):
         super().__init__()
         self.threshold = threshold
 
-    def on_failure(self, chip: int) -> None:
+    def on_failure(self, chip: int, dispatch: Callable[[int], None]) -> None:
         self._pending.append(chip)
         if len(self._pending) >= self.threshold:
-            self._flush()
+            self._flush(dispatch)
 
 
 class BatchedPolicy(_HoldingPolicy):
@@ -129,15 +127,17 @@ class BatchedPolicy(_HoldingPolicy):
     def start(
         self, engine: EventEngine, dispatch: Callable[[int], None]
     ) -> None:
-        super().start(engine, dispatch)
+        engine.schedule_after(
+            self.interval_s, lambda: self._tick(engine, dispatch)
+        )
 
-        def tick() -> None:
-            self._flush()
-            engine.schedule_after(self.interval_s, tick)
+    def _tick(
+        self, engine: EventEngine, dispatch: Callable[[int], None]
+    ) -> None:
+        self._flush(dispatch)
+        self.start(engine, dispatch)
 
-        engine.schedule_after(self.interval_s, tick)
-
-    def on_failure(self, chip: int) -> None:
+    def on_failure(self, chip: int, dispatch: Callable[[int], None]) -> None:
         self._pending.append(chip)
 
 

@@ -37,10 +37,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..failures.recovery import RackMigrationPolicy
-from ..obs.log import INFO as _INFO, NULL_LOG, EventLog
+from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import nearest_rank
 from ..phy.constants import CHIPS_PER_SERVER, RACKS_PER_CLUSTER, RECONFIG_LATENCY_S
 from ..sim.engine import Event, EventEngine, SimulationError
+from ..sim.scaffold import FABRICS, StepSeries, run_horizon
 from .policies import RepairPolicy, make_policy
 from .process import RenewalFailureProcess
 
@@ -49,15 +50,11 @@ __all__ = [
     "FleetStats",
     "FleetSimulator",
     "simulate_fleet",
-    "set_progress_log",
     "FABRICS",
 ]
 
 #: Seconds in the simulator's year.
 YEAR_S = 365.0 * 24.0 * 3600.0
-
-#: Fabrics the simulator models.
-FABRICS = ("electrical", "photonic")
 
 _OPERATIONAL, _FAILED, _SUSPENDED = 0, 1, 2
 
@@ -182,7 +179,8 @@ class FleetSimulator:
     """One fabric's failure/repair dynamics over the horizon.
 
     Build one simulator (and one fresh policy) per run; :meth:`run`
-    consumes the instance.
+    consumes the instance, and once it returns the instance holds no
+    reference cycle, so dropping it frees the run.
     """
 
     def __init__(
@@ -191,18 +189,13 @@ class FleetSimulator:
         fabric: str,
         policy: RepairPolicy | None = None,
         log: EventLog | None = None,
-        heartbeats: int = 10,
     ):
         if fabric not in FABRICS:
             raise ValueError(f"unknown fabric {fabric!r}; choose from {FABRICS}")
-        if heartbeats < 1:
-            raise ValueError(f"heartbeats must be positive, got {heartbeats}")
         self.config = config
         self.fabric = fabric
         self.policy = policy if policy is not None else make_policy("immediate")
         self.log = log if log is not None else NULL_LOG
-        self.heartbeats = heartbeats
-        self._heartbeats_fired = 0
         self._engine = EventEngine()
         self._process = RenewalFailureProcess(
             chips=config.chips, mtbf_s=config.mtbf_s, seed=config.seed
@@ -221,11 +214,9 @@ class FleetSimulator:
         # out directly.
         self._down_failed = 0
         self._down_collateral = 0
-        self._last_t = 0.0
-        self._lost = 0.0
-        self._collateral_lost = 0.0
-        self._transitions: list[tuple[float, int]] = [(0.0, config.chips)]
-        self._min_available = config.chips
+        self._available = StepSeries(
+            self._engine, "available chips", config.chips, level=config.chips, integrals=2
+        )
         self._peak_failed = 0
         self._failures = 0
         self._repairs = 0
@@ -242,30 +233,20 @@ class FleetSimulator:
     # -- occupancy accounting ----------------------------------------------------
 
     def _account(self) -> None:
-        """Integrate the loss counters up to the engine's current time."""
-        now = self._engine.now_s
-        dt = now - self._last_t
-        if dt > 0:
-            down = self._down_failed + self._down_collateral
-            self._lost += down * dt
-            self._collateral_lost += self._down_collateral * dt
-            self._last_t = now
+        """Integrate the loss counters (all down chips, then collateral)
+        up to the engine's current time."""
+        self._available.advance(
+            self._down_failed + self._down_collateral, self._down_collateral
+        )
 
     def _record(self) -> None:
         """Snapshot available capacity after a state change."""
-        available = self.config.chips - self._down_failed - self._down_collateral
-        if not 0 <= available <= self.config.chips:
-            raise SimulationError(
-                f"available chips {available} outside "
-                f"[0, {self.config.chips}] at t={self._engine.now_s}"
-            )
-        self._transitions.append((self._engine.now_s, available))
-        if available < self._min_available:
-            self._min_available = available
+        self._available.record(
+            self.config.chips - self._down_failed - self._down_collateral
+        )
 
     def _heartbeat(self) -> None:
         """Emit one ``fleet.progress`` record at the current sim time."""
-        self._heartbeats_fired += 1
         self.log.info(
             "fleet.progress",
             fabric=self.fabric,
@@ -321,7 +302,7 @@ class FleetSimulator:
         if self._down_failed > self._peak_failed:
             self._peak_failed = self._down_failed
         self._record()
-        self.policy.on_failure(chip)
+        self.policy.on_failure(chip, self._dispatch)
         self._arm(chip // self.config.chips_per_rack)
 
     def _suspend(self, chip: int) -> None:
@@ -341,21 +322,27 @@ class FleetSimulator:
         self._ttrs.append(self._engine.now_s - self._fail_times.pop(chip))
         self._restore(chip)
 
+    def _dispatch(self, chip: int) -> None:
+        """Hand a failed chip's repair to the fabric's executor."""
+        if self._state[chip] != _FAILED:
+            return  # an earlier repair of its rack already fixed it
+        rack = chip // self.config.chips_per_rack
+        if self.fabric == "photonic":
+            if self._spares[rack] > 0:
+                self._start_photonic_repair(chip)
+            else:
+                self._spare_wait[rack].append(chip)
+        elif not self._rack_busy[rack]:
+            # A queued or active migration repairs every chip of its rack.
+            self._rack_busy[rack] = True
+            self._migration_queue.append(rack)
+            self._start_migrations()
+
     # -- electrical executor: budgeted rack migrations ----------------------------
 
     def _rack_chips(self, rack: int) -> range:
         base = rack * self.config.chips_per_rack
         return range(base, base + self.config.chips_per_rack)
-
-    def _dispatch_electrical(self, chip: int) -> None:
-        if self._state[chip] != _FAILED:
-            return  # an earlier migration of the rack already fixed it
-        rack = chip // self.config.chips_per_rack
-        if self._rack_busy[rack]:
-            return  # the queued/active migration will repair this chip too
-        self._rack_busy[rack] = True
-        self._migration_queue.append(rack)
-        self._start_migrations()
 
     def _start_migrations(self) -> None:
         cfg = self.config
@@ -400,15 +387,6 @@ class FleetSimulator:
             start, min(start + cfg.chips_per_server, base + cfg.chips_per_rack)
         )
 
-    def _dispatch_photonic(self, chip: int) -> None:
-        if self._state[chip] != _FAILED:
-            return
-        rack = chip // self.config.chips_per_rack
-        if self._spares[rack] > 0:
-            self._start_photonic_repair(chip)
-        else:
-            self._spare_wait[rack].append(chip)
-
     def _start_photonic_repair(self, chip: int) -> None:
         rack = chip // self.config.chips_per_rack
         self._spares[rack] -= 1
@@ -448,30 +426,6 @@ class FleetSimulator:
 
     # -- run ---------------------------------------------------------------------
 
-    def _series(self) -> tuple[tuple[float, float, float], ...]:
-        """Time-weighted mean available chips per fixed bucket."""
-        cfg = self.config
-        width = cfg.horizon_s / cfg.series_points
-        integrals = [0.0] * cfg.series_points
-        for i, (t0, available) in enumerate(self._transitions):
-            t1 = (
-                self._transitions[i + 1][0]
-                if i + 1 < len(self._transitions)
-                else cfg.horizon_s
-            )
-            if t1 <= t0:
-                continue
-            bucket = min(int(t0 // width), cfg.series_points - 1)
-            while t0 < t1 and bucket < cfg.series_points:
-                edge = min(t1, (bucket + 1) * width)
-                integrals[bucket] += available * (edge - t0)
-                t0 = edge
-                bucket += 1
-        return tuple(
-            (i * width, (i + 1) * width, integrals[i] / width)
-            for i in range(cfg.series_points)
-        )
-
     def run(self) -> FleetStats:
         """Simulate the horizon and return the measured statistics.
 
@@ -482,30 +436,15 @@ class FleetSimulator:
         if self._ran:
             raise SimulationError("a FleetSimulator instance runs once")
         self._ran = True
-        dispatch = (
-            self._dispatch_electrical
-            if self.fabric == "electrical"
-            else self._dispatch_photonic
-        )
-        self.policy.start(self._engine, dispatch)
-        for chip in range(self.config.chips):
-            self._draw_failure(chip)
-        for rack in range(self.config.racks):
-            self._arm(rack)
-        if self.log.enabled_for(_INFO):
-            # Progress heartbeats ride the sim-time event queue (so they
-            # interleave deterministically with the dynamics they report
-            # on); they only *read* state, and their event count is
-            # subtracted below so FleetStats stays byte-identical with
-            # heartbeats on or off.
-            for k in range(1, self.heartbeats + 1):
-                self._engine.schedule_at(
-                    k * self.config.horizon_s / self.heartbeats,
-                    self._heartbeat,
-                )
-        self._engine.run(until_s=self.config.horizon_s)
-        self._account()
         cfg = self.config
+        self.policy.start(self._engine, self._dispatch)
+        for chip in range(cfg.chips):
+            self._draw_failure(chip)
+        for rack in range(cfg.racks):
+            self._arm(rack)
+        run_horizon(self._engine, cfg.horizon_s, self._heartbeat)
+        self._account()
+        lost, collateral_lost = self._available.totals
         ttrs = sorted(self._ttrs)
         return FleetStats(
             fabric=self.fabric,
@@ -516,32 +455,20 @@ class FleetSimulator:
             failures=self._failures,
             repairs=self._repairs,
             unrepaired=len(self._fail_times),
-            events_processed=self._engine.processed - self._heartbeats_fired,
-            mean_availability=(
-                1.0 - self._lost / (cfg.chips * cfg.horizon_s)
+            events_processed=self._engine.processed,
+            mean_availability=1.0 - lost / (cfg.chips * cfg.horizon_s),
+            min_available_chips=min(
+                level for _, level in self._available.transitions
             ),
-            min_available_chips=self._min_available,
             peak_failed_chips=self._peak_failed,
-            lost_chip_seconds=self._lost,
-            collateral_chip_seconds=self._collateral_lost,
+            lost_chip_seconds=lost,
+            collateral_chip_seconds=collateral_lost,
             ttr_p50_s=nearest_rank(ttrs, 0.50),
             ttr_p90_s=nearest_rank(ttrs, 0.90),
             ttr_p99_s=nearest_rank(ttrs, 0.99),
             ttr_max_s=ttrs[-1] if ttrs else 0.0,
-            series=self._series(),
+            series=self._available.buckets(cfg.horizon_s, cfg.series_points),
         )
-
-
-_PROGRESS_LOG: EventLog = NULL_LOG
-
-
-def set_progress_log(log: EventLog | None) -> None:
-    """Install a process-wide heartbeat log for runs whose call path
-    cannot thread ``log`` through (the CLI's ``repro fleet --progress``
-    goes through the spec/backend machinery, and specs are frozen cache
-    keys). ``None`` restores the silent default."""
-    global _PROGRESS_LOG
-    _PROGRESS_LOG = log if log is not None else NULL_LOG
 
 
 def simulate_fleet(
@@ -554,11 +481,9 @@ def simulate_fleet(
 ) -> FleetStats:
     """Run one fabric's fleet simulation with a fresh policy instance.
 
-    ``log`` (when given and at ``info`` or lower) receives ten
-    ``fleet.progress`` heartbeats on the *sim-time* schedule; the
-    returned stats are byte-identical either way. A cached fleet result
-    (``repro fleet`` reuses the result cache) skips the simulation and
-    therefore emits no heartbeats.
+    ``log`` (when given and at ``info`` or lower) receives a
+    ``fleet.progress`` heartbeat at each tenth of the horizon; the
+    returned stats are byte-identical either way.
     """
     return FleetSimulator(
         config,
@@ -568,5 +493,5 @@ def simulate_fleet(
             lazy_threshold=lazy_threshold,
             batch_interval_s=batch_interval_s,
         ),
-        log=log if log is not None else _PROGRESS_LOG,
+        log=log,
     ).run()

@@ -139,11 +139,13 @@ class Request:
 
         Raises:
             ProtocolError: with status 400 when the body is not valid
-                UTF-8 JSON.
+                UTF-8 JSON, holds an integer literal past Python's digit
+                limit (``ValueError``, the base of the decode errors) or
+                nests too deep to decode (``RecursionError``).
         """
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(400, f"request body is not JSON: {exc}") from exc
 
 

@@ -28,13 +28,14 @@ class Event:
     Attributes:
         time_s: absolute simulation time the event fires at.
         sequence: tie-breaker preserving scheduling order at equal times.
-        action: the callback.
+        action: the callback; ``None`` once :meth:`EventEngine.close`
+            has dropped it.
         cancelled: set via :meth:`cancel`; cancelled events are skipped.
     """
 
     time_s: float
     sequence: int
-    action: Callable[[], None]
+    action: Callable[[], None] | None
     cancelled: bool = False
 
     def cancel(self) -> None:
@@ -142,3 +143,12 @@ class EventEngine:
         if until_s is not None:
             self.now_s = max(self.now_s, until_s)
         return self.now_s
+
+    def close(self) -> None:
+        """Cancel every queued event and drop its callback and the queue,
+        so a finished run holds no closure over whatever scheduled it;
+        ``now_s`` and :attr:`processed` stay readable."""
+        for _, _, event in self._queue:
+            event.cancelled = True
+            event.action = None
+        self._queue.clear()

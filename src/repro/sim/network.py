@@ -153,10 +153,10 @@ class FlowNetwork:
         Capacity *values* are re-read (and re-validated, as
         :func:`~repro.sim.flows.max_min_rates` does per call) on every
         rate computation; only the link→index mapping is cached,
-        invalidated when the set of links grows or shrinks.
+        invalidated when the ordered link keys change (compared in C).
         """
         space = self._link_space
-        if space is None or len(space) != len(self.capacities):
+        if space is None or list(self.capacities) != space.links:
             self._link_space = space = LinkSpace(self.capacities)
             self._flow_indices.clear()
         return space

@@ -25,7 +25,6 @@ from .simulator import (
     TenancyConfig,
     TenancySimulator,
     TenancyStats,
-    set_progress_log,
     simulate_tenancy,
 )
 from .workload import (
@@ -51,7 +50,6 @@ __all__ = [
     "TenancyStats",
     "TenancySimulator",
     "simulate_tenancy",
-    "set_progress_log",
     "FABRICS",
     "TenantJob",
     "generate_jobs",

@@ -28,10 +28,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from ..obs.log import INFO as _INFO, NULL_LOG, EventLog
+from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import nearest_rank
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.engine import EventEngine, SimulationError
+from ..sim.scaffold import FABRICS, StepSeries, run_horizon
 from .cluster import ClusterState
 from .policies import (
     CATALOG_SHAPES,
@@ -46,12 +47,8 @@ __all__ = [
     "TenancyStats",
     "TenancySimulator",
     "simulate_tenancy",
-    "set_progress_log",
     "FABRICS",
 ]
-
-#: Fabrics the simulator models (mirrors :data:`repro.fleet.FABRICS`).
-FABRICS = ("electrical", "photonic")
 
 #: Seconds per day.
 DAY_S = 86400.0
@@ -190,7 +187,8 @@ class TenancySimulator:
     """One fabric's scheduling dynamics over the horizon.
 
     Build one simulator (and one fresh policy) per run; :meth:`run`
-    consumes the instance.
+    consumes the instance, and once it returns the instance holds no
+    reference cycle, so dropping it frees the run.
     """
 
     def __init__(
@@ -200,12 +198,9 @@ class TenancySimulator:
         policy: PlacementPolicy | None = None,
         log: EventLog | None = None,
         tracer: Tracer | None = None,
-        heartbeats: int = 10,
     ):
         if fabric not in FABRICS:
             raise ValueError(f"unknown fabric {fabric!r}; choose from {FABRICS}")
-        if heartbeats < 1:
-            raise ValueError(f"heartbeats must be positive, got {heartbeats}")
         self.config = config
         self.fabric = fabric
         self.policy = (
@@ -218,8 +213,6 @@ class TenancySimulator:
             )
         self.log = log if log is not None else NULL_LOG
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.heartbeats = heartbeats
-        self._heartbeats_fired = 0
         self._engine = EventEngine()
         self.cluster = ClusterState(
             rack_shape=config.rack_shape,
@@ -240,10 +233,9 @@ class TenancySimulator:
         self._waiting: dict[str, tuple[TenantJob, object]] = {}
         self._placed_at: dict[str, float] = {}
         # Occupancy/stranding accounting, integrated before each change.
-        self._last_t = 0.0
-        self._occupied_integral = 0.0
-        self._stranded_integral = 0.0
-        self._transitions: list[tuple[float, int]] = [(0.0, 0)]
+        self._occupied = StepSeries(
+            self._engine, "occupied chips", config.total_chips, level=0, integrals=2
+        )
         self._frag_samples: list[tuple[int, int]] = []
         self._arrivals = 0
         self._placed = 0
@@ -259,24 +251,14 @@ class TenancySimulator:
 
     def _account(self) -> None:
         """Integrate occupancy and stranding up to the current time."""
-        now = self._engine.now_s
-        dt = now - self._last_t
-        if dt > 0:
-            self._occupied_integral += self.cluster.occupied_chips() * dt
-            self._stranded_integral += (
-                self.cluster.stranded_fraction_rate(self.fabric) * dt
-            )
-            self._last_t = now
+        self._occupied.advance(
+            self.cluster.occupied_chips(),
+            self.cluster.stranded_fraction_rate(self.fabric),
+        )
 
     def _record(self) -> None:
         """Snapshot occupied capacity after a state change."""
-        occupied = self.cluster.occupied_chips()
-        if not 0 <= occupied <= self.config.total_chips:
-            raise SimulationError(
-                f"occupied chips {occupied} outside "
-                f"[0, {self.config.total_chips}] at t={self._engine.now_s}"
-            )
-        self._transitions.append((self._engine.now_s, occupied))
+        self._occupied.record(self.cluster.occupied_chips())
 
     def _note_circuits(self) -> None:
         lit = sum(
@@ -287,7 +269,6 @@ class TenancySimulator:
 
     def _heartbeat(self) -> None:
         """Emit one ``tenancy.progress`` record at the current sim time."""
-        self._heartbeats_fired += 1
         self.log.info(
             "tenancy.progress",
             fabric=self.fabric,
@@ -402,37 +383,6 @@ class TenancySimulator:
         )
         self.cluster.check_consistent()
 
-    def _series(self) -> tuple[tuple[float, float, float, int, int], ...]:
-        """Time-weighted mean occupied chips per fixed bucket, joined
-        with the fragmentation probes taken at each bucket's end."""
-        cfg = self.config
-        width = cfg.horizon_s / cfg.series_points
-        integrals = [0.0] * cfg.series_points
-        for i, (t0, occupied) in enumerate(self._transitions):
-            t1 = (
-                self._transitions[i + 1][0]
-                if i + 1 < len(self._transitions)
-                else cfg.horizon_s
-            )
-            if t1 <= t0:
-                continue
-            bucket = min(int(t0 // width), cfg.series_points - 1)
-            while t0 < t1 and bucket < cfg.series_points:
-                edge = min(t1, (bucket + 1) * width)
-                integrals[bucket] += occupied * (edge - t0)
-                t0 = edge
-                bucket += 1
-        return tuple(
-            (
-                i * width,
-                (i + 1) * width,
-                integrals[i] / width,
-                self._frag_samples[i][0],
-                self._frag_samples[i][1],
-            )
-            for i in range(cfg.series_points)
-        )
-
     def run(self) -> TenancyStats:
         """Simulate the horizon and return the measured statistics.
 
@@ -453,20 +403,11 @@ class TenancySimulator:
             self._engine.schedule_at(
                 (i + 1) * width, self._sample_fragmentation
             )
-        if self.log.enabled_for(_INFO):
-            # Heartbeats ride the sim-time queue (deterministic
-            # interleaving with the dynamics they report); they only
-            # *read* state, and their count is subtracted below so
-            # TenancyStats stays byte-identical with logging on or off.
-            for k in range(1, self.heartbeats + 1):
-                self._engine.schedule_at(
-                    k * cfg.horizon_s / self.heartbeats, self._heartbeat
-                )
-        self._engine.run(until_s=cfg.horizon_s)
+        run_horizon(self._engine, cfg.horizon_s, self._heartbeat)
         self._account()
         self.cluster.check_consistent()
         delays = sorted(self._delays)
-        occupied_cs = self._occupied_integral
+        occupied_cs, stranded_cs = self._occupied.totals
         return TenancyStats(
             fabric=self.fabric,
             policy=self.policy.name,
@@ -483,7 +424,7 @@ class TenancySimulator:
             running_at_horizon=len(self.cluster.allocations),
             queued_at_horizon=len(self._waiting),
             defrag_moves=self._defrag_moves,
-            events_processed=self._engine.processed - self._heartbeats_fired,
+            events_processed=self._engine.processed,
             mean_occupancy=occupied_cs / (cfg.total_chips * cfg.horizon_s),
             queue_delay_mean_s=(
                 sum(delays) / len(delays) if delays else 0.0
@@ -495,25 +436,20 @@ class TenancySimulator:
             rejection_rate=(
                 self._rejected / self._arrivals if self._arrivals else 0.0
             ),
-            stranded_chip_seconds=self._stranded_integral,
-            stranded_fraction=(
-                self._stranded_integral / occupied_cs if occupied_cs else 0.0
-            ),
+            stranded_chip_seconds=stranded_cs,
+            stranded_fraction=stranded_cs / occupied_cs if occupied_cs else 0.0,
             circuits_peak=self._circuits_peak,
-            series=self._series(),
+            # Occupancy buckets joined with the fragmentation probes
+            # taken at each bucket's end.
+            series=tuple(
+                (*bucket, *probe)
+                for bucket, probe in zip(
+                    self._occupied.buckets(cfg.horizon_s, cfg.series_points),
+                    self._frag_samples,
+                    strict=True,
+                )
+            ),
         )
-
-
-_PROGRESS_LOG: EventLog = NULL_LOG
-
-
-def set_progress_log(log: EventLog | None) -> None:
-    """Install a process-wide heartbeat log for runs whose call path
-    cannot thread ``log`` through (``repro tenancy --progress`` goes
-    through the spec/backend machinery, and specs are frozen cache
-    keys). ``None`` restores the silent default."""
-    global _PROGRESS_LOG
-    _PROGRESS_LOG = log if log is not None else NULL_LOG
 
 
 def simulate_tenancy(
@@ -533,8 +469,8 @@ def simulate_tenancy(
     on the electrical fabric raises ``ValueError``: static wiring has no
     reconfigurable reach.
 
-    ``log`` (when given and at ``info`` or lower) receives ten
-    ``tenancy.progress`` heartbeats on the *sim-time* schedule; the
+    ``log`` (when given and at ``info`` or lower) receives a
+    ``tenancy.progress`` heartbeat at each tenth of the horizon; the
     returned stats are byte-identical either way.
     """
     if fabric not in FABRICS:
@@ -550,7 +486,7 @@ def simulate_tenancy(
         config,
         fabric,
         placement,
-        log=log if log is not None else _PROGRESS_LOG,
+        log=log,
         tracer=tracer,
     )
     stats = simulator.run()

@@ -147,3 +147,15 @@ class TestPendingCount:
         engine.schedule_at(3.0, lambda: None)
         engine.run()
         assert engine.processed == 2
+
+
+class TestClose:
+    def test_drops_queued_events_and_their_callbacks(self):
+        engine = EventEngine()
+        engine.schedule_at(1.0, lambda: None)
+        held = engine.schedule_at(5.0, lambda: None)
+        engine.run(until_s=2.0)
+        engine.close()
+        assert engine.next_event_time() is None
+        assert held.cancelled and held.action is None
+        assert engine.processed == 1 and engine.now_s == 2.0

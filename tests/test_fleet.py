@@ -85,7 +85,7 @@ class TestPolicies:
         dispatched = []
         policy = ImmediatePolicy()
         policy.start(EventEngine(), dispatched.append)
-        policy.on_failure(7)
+        policy.on_failure(7, dispatched.append)
         assert dispatched == [7]
         assert policy.held == 0
 
@@ -93,10 +93,10 @@ class TestPolicies:
         dispatched = []
         policy = LazyThresholdPolicy(3)
         policy.start(EventEngine(), dispatched.append)
-        policy.on_failure(1)
-        policy.on_failure(2)
+        policy.on_failure(1, dispatched.append)
+        policy.on_failure(2, dispatched.append)
         assert dispatched == [] and policy.held == 2
-        policy.on_failure(3)
+        policy.on_failure(3, dispatched.append)
         assert dispatched == [1, 2, 3] and policy.held == 0
 
     def test_batched_flushes_on_cadence(self):
@@ -104,7 +104,7 @@ class TestPolicies:
         dispatched = []
         policy = BatchedPolicy(10.0)
         policy.start(engine, dispatched.append)
-        engine.schedule_at(1.0, lambda: policy.on_failure(5))
+        engine.schedule_at(1.0, lambda: policy.on_failure(5, dispatched.append))
         engine.run(until_s=9.0)
         assert dispatched == [] and policy.held == 1
         engine.run(until_s=11.0)

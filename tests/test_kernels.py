@@ -509,6 +509,17 @@ class TestNetworkIdentity:
         horizon = network.run_until_idle()
         assert horizon == 1.0
 
+    def test_capacity_swapped_mid_run_is_picked_up(self):
+        # Same number of links, different links: the index must rebuild.
+        engine = EventEngine()
+        network = FlowNetwork(engine, {"a": 4.0})
+        network.inject(Flow("f0", ("a",), 4.0))
+        network.run_until_idle()
+        del network.capacities["a"]
+        network.capacities["b"] = 2.0
+        network.inject(Flow("f1", ("b",), 2.0))
+        assert network.run_until_idle() == 2.0
+
 
 class TestLinkTelemetryRegression:
     def test_unknown_link_record_raises(self):

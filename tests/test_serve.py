@@ -469,8 +469,18 @@ def _raw_exchange(port: int, data: bytes) -> tuple[int, dict[str, str], bytes]:
     return int(status_line.split()[1]), headers, body
 
 
+#: Bodies ``json.loads`` refuses with other errors than a decode error:
+#: an integer past Python's 4,300-digit limit (``ValueError``) and
+#: arrays nested past the recursion limit (``RecursionError``).
+UNDECODABLE_BODIES = [
+    b'{"seed": ' + b"1" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+]
+
+
 class TestWireLimits:
-    """Oversized or header-flooded input is a typed protocol error."""
+    """Oversized, header-flooded or undecodable input is a typed
+    protocol error."""
 
     def _request_error(self, data):
         with pytest.raises(wire.ProtocolError) as excinfo:
@@ -542,6 +552,31 @@ class TestWireLimits:
         assert error["status"] == status
         assert error["code"] == "protocol_error"
 
+    @pytest.mark.parametrize(
+        "body", UNDECODABLE_BODIES, ids=["long-integer", "deep-nesting"]
+    )
+    def test_undecodable_json_is_400(self, body):
+        request = wire.Request("POST", "/v1/evaluate", {}, body)
+        with pytest.raises(wire.ProtocolError) as excinfo:
+            request.json()
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "body", UNDECODABLE_BODIES, ids=["long-integer", "deep-nesting"]
+    )
+    def test_server_answers_undecodable_json_with_400(self, live_server, body):
+        got, headers, reply = _raw_exchange(
+            live_server.port,
+            b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert got == 400
+        assert int(headers["content-length"]) == len(reply)
+        error = json.loads(reply)["error"]
+        assert error["status"] == 400
+        assert error["code"] == "bad_json"
+
 
 #: Spec bodies a parser must refuse, with the ``Class.field`` the 400
 #: names: wrong JSON kinds at the top level and inside plans, values the
@@ -557,6 +592,20 @@ BAD_SPEC_BODIES = [
     ({"failures": {"max_hops": 5.0}}, "FailurePlan.max_hops"),
     ({"tenancy": {"steering": 1}}, "TenancyPlan.steering"),
     ({"buffer_byte": 1}, "ScenarioSpec.buffer_byte"),
+]
+
+
+#: Plan floats that must be finite, as ``(spec key, Class.field)``.
+FINITE_PLAN_FIELDS = [
+    ("failures", "FailurePlan.fleet_days"),
+    ("fleet", "FleetPlan.days"),
+    ("fleet", "FleetPlan.batch_interval_s"),
+    ("fleet", "FleetPlan.spare_replenish_s"),
+    ("fleet", "FleetPlan.mtbf_years"),
+    ("tenancy", "TenancyPlan.days"),
+    ("tenancy", "TenancyPlan.arrivals_per_day"),
+    ("tenancy", "TenancyPlan.mean_duration_s"),
+    ("tenancy", "TenancyPlan.max_queue_wait_s"),
 ]
 
 
@@ -616,6 +665,24 @@ class TestSpecBoundary:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_spec"
         assert where in str(excinfo.value)
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e999"])
+    @pytest.mark.parametrize(
+        "key, where", FINITE_PLAN_FIELDS,
+        ids=[where for _, where in FINITE_PLAN_FIELDS],
+    )
+    def test_non_finite_plan_float_is_400_naming_the_field(
+        self, key, where, literal
+    ):
+        name = where.partition(".")[2]
+        body = f'{{"{key}": {{"{name}": {literal}}}}}'.encode()
+        with pytest.raises(EvaluateRequestError) as excinfo:
+            parse_evaluate_request(
+                wire.Request("POST", "/v1/evaluate", {}, body)
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_spec"
+        assert f"{where} must be finite" in str(excinfo.value)
 
     def test_server_answers_wrong_kind_with_400_envelope(self, live_server):
         body = b'{"failures": []}'
