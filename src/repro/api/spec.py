@@ -15,10 +15,10 @@ unknown key is a ``TypeError`` naming ``Class.field``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from ..sim.scaffold import require_finite
 from .codec import OPTIONAL, Record, decode, encode
 
 __all__ = [
@@ -57,17 +57,6 @@ _MODES = ("closed_form", "sim")
 
 def _int_tuple(values: Any) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
-
-
-def _require_finite(record: Any, *names: str) -> None:
-    """Raise ``ValueError`` naming ``Class.field`` for an infinite or NaN
-    value (JSON may spell one ``Infinity``, ``NaN`` or ``1e999``)."""
-    for name in names:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{type(record).__name__}.{name} must be finite, got {value!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,7 @@ class FailurePlan(Record):
         )
         if self.replacement is not None:
             object.__setattr__(self, "replacement", _int_tuple(self.replacement))
-        _require_finite(self, "fleet_days")
+        require_finite(self, "fleet_days")
         if self.fleet_days < 0:
             raise ValueError("fleet_days cannot be negative")
 
@@ -164,7 +153,7 @@ class FleetPlan(Record):
     series_points: int = 48
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             self, "days", "batch_interval_s", "spare_replenish_s", "mtbf_years"
         )
         if self.days < 0:
@@ -237,7 +226,7 @@ class TenancyPlan(Record):
     series_points: int = 24
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             self, "days", "arrivals_per_day", "mean_duration_s", "max_queue_wait_s"
         )
         if self.days < 0:

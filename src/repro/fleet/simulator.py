@@ -41,7 +41,7 @@ from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import nearest_rank
 from ..phy.constants import CHIPS_PER_SERVER, RACKS_PER_CLUSTER, RECONFIG_LATENCY_S
 from ..sim.engine import Event, EventEngine, SimulationError
-from ..sim.scaffold import FABRICS, StepSeries, run_horizon
+from ..sim.scaffold import FABRICS, StepSeries, require_finite, run_horizon
 from .policies import RepairPolicy, make_policy
 from .process import RenewalFailureProcess
 
@@ -102,6 +102,14 @@ class FleetConfig:
     series_points: int = 48
 
     def __post_init__(self) -> None:
+        require_finite(
+            self,
+            "horizon_s",
+            "mtbf_s",
+            "spare_replenish_s",
+            "migration_s",
+            "circuit_setup_s",
+        )
         if self.racks < 1 or self.chips_per_rack < 1:
             raise ValueError("the cluster needs at least one rack and chip")
         if not 1 <= self.chips_per_server <= self.chips_per_rack:

@@ -1,8 +1,9 @@
-"""Vectorized evaluation kernels and their time accounting.
+"""Evaluation kernels and their time accounting.
 
-The evaluation hot path (max-min water-filling, repair-path search, ring
-stage costs, telemetry aggregation) runs as numpy code over flows×links
-incidence arrays. Each kernel performs the same floating-point
+The evaluation hot path runs over dense link-index spaces: repair-path
+search and ring stage costs as numpy code over flows×links incidence
+arrays, max-min water-filling as an incremental bottleneck heap over
+per-flow link-index lists. Each kernel performs the same floating-point
 operations on the same operands in the same order as the straightforward
 loop it replaced, so its results are bit-identical to that loop. The
 loops live on as test oracles under ``tests/oracles/``, where property

@@ -1,12 +1,10 @@
-"""Link-index spaces and flows×links incidence in CSR form.
+"""Link-index spaces and a flow population's link incidence.
 
-The vectorized kernels never hash a link (or a :class:`~repro.topology.
-torus.Link`) on the hot path: links are enumerated once into a dense
-index space (:class:`LinkSpace`), and a population of flows becomes a
-CSR-style incidence — one concatenated array of link indices plus
-per-flow offsets (:class:`FlowIncidence`). Every per-round reduction of
-the water-filling algorithm is then a ``bincount``/fancy-index over these
-arrays.
+The kernels never hash a link (or a :class:`~repro.topology.torus.Link`)
+on the hot path: links are enumerated once into a dense index space
+(:class:`LinkSpace`), and a population of flows becomes one list of
+link indices per flow (:class:`FlowIncidence`), which the water-filling
+kernel walks directly.
 """
 
 from __future__ import annotations
@@ -60,29 +58,17 @@ class LinkSpace:
 
 
 class FlowIncidence:
-    """CSR incidence of a flow population over a :class:`LinkSpace`.
+    """The link incidence of a flow population over a :class:`LinkSpace`.
 
     Attributes:
-        flow_links: per-flow link-index arrays, flow order.
-        lengths: per-flow link counts.
-        flat: all flows' link indices concatenated in flow order.
-        seg: flow index of each ``flat`` entry.
+        flow_links: per-flow link-index lists, flow order (a link a flow
+            crosses twice appears twice).
     """
 
-    __slots__ = ("flow_links", "lengths", "flat", "seg")
+    __slots__ = ("flow_links",)
 
-    def __init__(self, flow_links: Sequence[np.ndarray]) -> None:
+    def __init__(self, flow_links: Sequence[list[int]]) -> None:
         self.flow_links = list(flow_links)
-        n = len(self.flow_links)
-        self.lengths = np.fromiter(
-            (a.size for a in self.flow_links), dtype=np.intp, count=n
-        )
-        if n:
-            self.flat = np.concatenate(self.flow_links)
-            self.seg = np.repeat(np.arange(n, dtype=np.intp), self.lengths)
-        else:
-            self.flat = np.empty(0, dtype=np.intp)
-            self.seg = np.empty(0, dtype=np.intp)
 
     @property
     def flow_count(self) -> int:

@@ -1,50 +1,33 @@
-"""Vectorized max-min fair progressive filling.
+"""Max-min fair progressive filling with an incremental bottleneck heap.
 
-Progressive filling over the CSR incidence of
-:mod:`repro.kernels.incidence`. Bit-identical by construction to the
-dict-based loop kept as a test oracle (``tests/oracles/kernels.py``):
+Bit-identical by construction to the dict-based loop kept as a test
+oracle (``tests/oracles/kernels.py``), which recomputes every link's
+share in every round:
 
-* per-link user counts are a ``bincount`` over the concatenated link
-  indices of the unfrozen flows *in flow-insertion order* — the same
-  first-seen order the oracle's ``link_users`` dict iterates in;
-* the bottleneck is the minimum share with ties broken by smallest
-  first-occurrence position, exactly the oracle's strict ``<`` scan;
-* every capacity debit is the same sequence of ``x - rate`` /
-  ``max(x, 0.0)`` float64 operations, flow by flow, per link occurrence
-  (``np.subtract.at`` is an ordered, unbuffered loop), never a fused or
-  reassociated sum;
-* demand caps compare as ``demand < share`` with NaN encoding "no cap"
-  (NaN comparisons are False, mirroring ``is not None and <``).
+* each link used by an unfrozen flow holds a heap key
+  ``(remaining / users, first position)``, where ``users`` counts the
+  link's occurrences among the unfrozen flows and ``first position`` is
+  the flat (flow, then link) position of the first of them — the
+  oracle's first-seen ``link_users`` order, which breaks share ties;
+* a freeze changes only the links its flows cross, so only those get
+  new keys; superseded keys stay in the heap and are skipped when they
+  surface (a key is current only while it is the link's latest);
+* demand caps are scanned with a cursor over the capped flows sorted by
+  demand: every unfrozen flow with ``demand < share`` freezes at its
+  demand, exactly the oracle's capped round (NaN encodes "no cap");
+* every capacity debit is the same ``x - rate`` then ``max(x, 0.0)``
+  float64 step, per link occurrence, flows in input order.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .incidence import FlowIncidence
 
 __all__ = ["waterfill_rates"]
-
-
-def _debit(remaining: np.ndarray, idx: np.ndarray, rate: float) -> None:
-    """Subtract ``rate`` per link occurrence of one frozen flow, clamped.
-
-    For duplicate-free ``idx`` (the common case) a gather/scatter equals
-    the oracle's per-occurrence subtract-then-clamp. With duplicates,
-    ``np.subtract.at`` applies the occurrences sequentially; clamping
-    once afterwards is still identical because a mid-sequence clamp only
-    fires when the unclamped running value is already negative — both
-    orders end at exactly ``0.0`` (rates are non-negative).
-    """
-    if idx.size > 1 and len(set(idx.tolist())) != idx.size:
-        np.subtract.at(remaining, idx, rate)
-        touched = remaining[idx]
-        np.maximum(touched, 0.0, out=touched)
-        remaining[idx] = touched
-        return
-    vals = remaining[idx] - rate
-    np.maximum(vals, 0.0, out=vals)
-    remaining[idx] = vals
 
 
 def waterfill_rates(
@@ -56,60 +39,95 @@ def waterfill_rates(
 
     Args:
         caps: per-link capacities (float64, all positive).
-        incidence: the flows' CSR link incidence (flow-insertion order).
+        incidence: the flows' link-index lists (flow-insertion order),
+            each naming at least one link.
         demands: per-flow rate caps, ``NaN`` meaning uncapped.
 
     Returns:
         Per-flow rates, flow order. Inputs are not modified (a fresh
-        remaining-capacity array is debited internally).
+        remaining-capacity list is debited internally).
     """
-    n_flows = incidence.flow_count
-    n_links = caps.shape[0]
-    rates = np.zeros(n_flows, dtype=np.float64)
-    if n_flows == 0:
-        return rates
-    remaining = caps.astype(np.float64, copy=True)
     flow_links = incidence.flow_links
-    flat_all = incidence.flat
-    seg_all = incidence.seg
-    active = np.ones(n_flows, dtype=bool)
-
-    for _ in range(n_flows + n_links + 1):
-        if not active.any():
-            break
-        keep = active[seg_all]
-        flat = flat_all[keep]
-        seg = seg_all[keep]
-        if flat.size == 0:
-            break
-        users = np.bincount(flat, minlength=n_links)
-        used_idx = np.flatnonzero(users)
-        shares = remaining[used_idx] / users[used_idx]
-        bottleneck_share = shares.min()
-        # First strict-min in first-seen order: among the min-share links,
-        # the one whose first occurrence in `flat` comes earliest.
-        candidates = used_idx[shares == bottleneck_share]
-        if candidates.size > 1:
-            first_pos = np.empty(n_links, dtype=np.intp)
-            first_pos[flat[::-1]] = np.arange(flat.size - 1, -1, -1)
-            bottleneck = candidates[np.argmin(first_pos[candidates])]
+    n_flows = len(flow_links)
+    remaining = caps.tolist()
+    demand = demands.tolist()
+    # Each link's occurrences as flat positions, ascending; ``owner``
+    # maps a flat position back to its flow.
+    occurrences: dict[int, list[int]] = {}
+    owner: list[int] = []
+    for f, links in enumerate(flow_links):
+        for link in links:
+            seen = occurrences.get(link)
+            if seen is None:
+                occurrences[link] = [len(owner)]
+            else:
+                seen.append(len(owner))
+            owner.append(f)
+    users = {link: len(seen) for link, seen in occurrences.items()}
+    first = dict.fromkeys(occurrences, 0)  # index into occurrences[link]
+    current: dict[int, tuple | None] = {}
+    heap = []
+    for link, seen in occurrences.items():
+        key = (remaining[link] / len(seen), seen[0], link)
+        current[link] = key
+        heap.append(key)
+    heapify(heap)
+    capped = sorted((d, f) for f, d in enumerate(demand) if d == d)
+    cursor = 0
+    rates = [0.0] * n_flows
+    frozen = [False] * n_flows
+    left = n_flows
+    while left and heap:
+        key = heap[0]
+        while current[key[2]] is not key:
+            heappop(heap)
+            key = heap[0]
+        share = key[0]
+        while cursor < len(capped) and frozen[capped[cursor][1]]:
+            cursor += 1
+        freezing = []
+        if cursor < len(capped) and capped[cursor][0] < share:
+            # Demand caps below the bottleneck share freeze first.
+            while cursor < len(capped) and capped[cursor][0] < share:
+                f = capped[cursor][1]
+                if not frozen[f]:
+                    freezing.append(f)
+                cursor += 1
+            freezing.sort()
+            freeze_rate = None
         else:
-            bottleneck = candidates[0]
-        share = float(bottleneck_share)
-        # Demand caps below the bottleneck share freeze first, exactly as
-        # in the oracle (NaN demands compare False).
-        active_idx = np.flatnonzero(active)
-        capped = active_idx[demands[active_idx] < bottleneck_share]
-        if capped.size:
-            for f in capped:
-                rate = float(demands[f])
-                rates[f] = rate
-                _debit(remaining, flow_links[f], rate)
-            active[capped] = False
-            continue
-        frozen_now = np.unique(seg[flat == bottleneck])
-        for f in frozen_now:
-            rates[f] = share
-            _debit(remaining, flow_links[f], share)
-        active[frozen_now] = False
-    return rates
+            # Every unfrozen flow crossing the bottleneck, at its share.
+            last = -1
+            for position in occurrences[key[2]]:
+                f = owner[position]
+                if f != last and not frozen[f]:
+                    freezing.append(f)
+                last = f
+            freeze_rate = share
+        touched = set()
+        for f in freezing:
+            rate = demand[f] if freeze_rate is None else freeze_rate
+            rates[f] = rate
+            frozen[f] = True
+            for link in flow_links[f]:
+                x = remaining[link] - rate
+                if x < 0.0:
+                    x = 0.0
+                remaining[link] = x
+                users[link] -= 1
+                touched.add(link)
+        left -= len(freezing)
+        for link in touched:
+            count = users[link]
+            if count:
+                seen = occurrences[link]
+                i = first[link]
+                while frozen[owner[seen[i]]]:
+                    i += 1
+                first[link] = i
+                key = (remaining[link] / count, seen[i], link)
+                current[link] = key
+                heappush(heap, key)
+            else:
+                current[link] = None
+    return np.array(rates, dtype=np.float64)

@@ -23,7 +23,7 @@ Design rules, in the same spirit as :mod:`repro.obs.tracer`:
   is injectable, so a scripted sequence of events serializes to the
   exact same bytes every run — which is what lets
   ``tests/golden/obs_log.jsonl`` exist (regenerate it with
-  ``python -m repro.obs.log``).
+  ``python -m repro.obs``).
 """
 
 from __future__ import annotations
@@ -252,19 +252,3 @@ def demo_events(log: EventLog) -> None:
         message="drained cleanly (7 requests completed)",
     )
 
-
-def _main() -> int:
-    """``python -m repro.obs.log``: the deterministic demo log on stdout.
-
-    CI pipes this through ``cmp`` against ``tests/golden/obs_log.jsonl``.
-    """
-    ticks = iter(i / 10 for i in range(len(EVENT_FIELDS) + 1))
-    log = EventLog(
-        sys.stdout, level="debug", source="demo", clock=lambda: next(ticks)
-    )
-    demo_events(log)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(_main())

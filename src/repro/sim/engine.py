@@ -4,7 +4,8 @@ The benches cross-check the paper's closed-form alpha-beta-r costs against
 an *executed* model: flows progressing over capacity-limited links, with
 congestion emerging from link sharing rather than being asserted. This
 engine provides the core primitives: a monotonic clock, a priority event
-queue, and cancellable scheduled callbacks.
+queue, cancellable scheduled callbacks, and settle actions that run once
+before the next event fires.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class EventEngine:
     The queue holds ``(time_s, sequence, event)`` tuples: sequences are
     unique, so heap comparisons stop at the first two fields and run in C.
 
+    Settle actions (:meth:`settle_before_next`) let a model batch the
+    changes one instant makes: it marks itself dirty as often as it
+    likes and recomputes once, before any further event can fire.
+
     Attributes:
         now_s: current simulation time, seconds.
     """
@@ -59,6 +64,7 @@ class EventEngine:
         self._sequence = itertools.count()
         self._max_events = max_events
         self._processed = 0
+        self._settle: list[Callable[[], None]] = []
 
     def schedule_at(self, time_s: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at absolute time ``time_s``.
@@ -85,6 +91,17 @@ class EventEngine:
             raise SimulationError(f"negative delay {delay_s}")
         return self.schedule_at(self.now_s + delay_s, action)
 
+    def settle_before_next(self, action: Callable[[], None]) -> None:
+        """Run ``action`` once, at the current instant, before the next
+        event fires.
+
+        Settle actions run at the top of :meth:`next_event_time` (and so
+        before :meth:`step` and :meth:`run` pick an event), in the order
+        they were added. They may schedule events, including zero-delay
+        ones, which then fire in sequence order as usual.
+        """
+        self._settle.append(action)
+
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
@@ -93,9 +110,15 @@ class EventEngine:
     def next_event_time(self) -> float | None:
         """Fire time of the next live event, or None when none remain.
 
-        Cancelled events at the head of the queue are discarded as a side
-        effect, so a ``None`` answer means :meth:`step` would return False.
+        Pending settle actions run first, so the answer reflects what
+        they schedule. Cancelled events at the head of the queue are
+        discarded as a side effect, so a ``None`` answer means
+        :meth:`step` would return False.
         """
+        while self._settle:
+            settle, self._settle = self._settle, []
+            for action in settle:
+                action()
         queue = self._queue
         while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
@@ -145,10 +168,12 @@ class EventEngine:
         return self.now_s
 
     def close(self) -> None:
-        """Cancel every queued event and drop its callback and the queue,
-        so a finished run holds no closure over whatever scheduled it;
-        ``now_s`` and :attr:`processed` stay readable."""
+        """Cancel every queued event and drop its callback, the queue and
+        any pending settle action, so a finished run holds no closure over
+        whatever scheduled it; ``now_s`` and :attr:`processed` stay
+        readable."""
         for _, _, event in self._queue:
             event.cancelled = True
             event.action = None
         self._queue.clear()
+        self._settle.clear()

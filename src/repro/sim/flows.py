@@ -53,15 +53,62 @@ class Flow:
             )
 
 
+def check_capacities(capacity_bytes_per_s: dict[Hashable, float]) -> None:
+    """Reject a capacity that is not positive.
+
+    ``not cap > 0`` also catches NaN, which every ``<=`` comparison lets
+    through.
+
+    Raises:
+        ValueError: naming the first such link.
+    """
+    for link, cap in capacity_bytes_per_s.items():
+        if not cap > 0:
+            raise ValueError(f"link {link!r} has non-positive capacity {cap}")
+
+
+def check_demand(flow: Flow) -> None:
+    """Reject a non-positive demand cap.
+
+    Flows are mutable (rates are written back), so a cap zeroed after
+    construction bypasses :class:`Flow`'s own validation. It is caught
+    here with an accurate diagnosis instead of letting progressive
+    filling freeze the flow at a zero rate and blame the link capacities.
+
+    Raises:
+        ValueError: naming the flow.
+    """
+    demand = flow.demand_bytes_per_s
+    if demand is not None and demand <= 0:
+        raise ValueError(
+            f"flow {flow.flow_id!r} has a non-positive demand cap "
+            f"({demand}) and can never make progress; the link "
+            "capacities are not at fault"
+        )
+
+
+def check_flow(flow: Flow, capacity_bytes_per_s: dict[Hashable, float]) -> None:
+    """Reject a flow the rate model cannot serve: its links first, then
+    its demand cap (:func:`check_demand`).
+
+    Raises:
+        KeyError: when the flow uses a link without a capacity.
+        ValueError: on a non-positive demand cap.
+    """
+    for link in flow.links:
+        if link not in capacity_bytes_per_s:
+            raise KeyError(f"flow {flow.flow_id!r} uses unknown link {link!r}")
+    check_demand(flow)
+
+
 def max_min_rates(
     flows: list[Flow], capacity_bytes_per_s: dict[Hashable, float]
 ) -> dict[Hashable, float]:
     """Compute max-min fair rates for ``flows`` over shared links.
 
-    Converts links to a dense index space and runs the numpy
-    progressive-filling kernel
-    (:func:`repro.kernels.waterfill.waterfill_rates`). Bottleneck ties
-    break in flow-input order, so the result is deterministic.
+    Converts links to a dense index space and runs the progressive-filling
+    kernel (:func:`repro.kernels.waterfill.waterfill_rates`). Bottleneck
+    ties break in flow-input order, so the result is deterministic.
 
     Args:
         flows: active flows; each must only reference links present in
@@ -74,36 +121,20 @@ def max_min_rates(
 
     Raises:
         KeyError: when a flow references an unknown link.
-        ValueError: on a non-positive link capacity, or a non-positive
-            demand cap (which would starve the flow forever and — if
-            negative — credit capacity back to the link, oversubscribing
-            it for everyone else).
+        ValueError: on a link capacity that is not positive (NaN
+            included), or a non-positive demand cap (which would starve
+            the flow forever and — if negative — credit capacity back to
+            the link, oversubscribing it for everyone else).
     """
     with STATS.timed("waterfill"):
-        for link, cap in capacity_bytes_per_s.items():
-            if cap <= 0:
-                raise ValueError(f"link {link!r} has non-positive capacity {cap}")
+        check_capacities(capacity_bytes_per_s)
         active = list(flows)
         for flow in active:
-            for link in flow.links:
-                if link not in capacity_bytes_per_s:
-                    raise KeyError(
-                        f"flow {flow.flow_id!r} uses unknown link {link!r}"
-                    )
-            # Flows are mutable (rates are written back), so a cap zeroed
-            # after construction bypasses Flow's own validation. Catch it
-            # here with an accurate diagnosis instead of letting
-            # progressive filling freeze the flow at a zero rate and blame
-            # the link capacities.
-            demand = flow.demand_bytes_per_s
-            if demand is not None and demand <= 0:
-                raise ValueError(
-                    f"flow {flow.flow_id!r} has a non-positive demand cap "
-                    f"({demand}) and can never make progress; the link "
-                    "capacities are not at fault"
-                )
+            check_flow(flow, capacity_bytes_per_s)
         space = LinkSpace(capacity_bytes_per_s)
-        incidence = FlowIncidence([space.indices(f.links) for f in active])
+        incidence = FlowIncidence(
+            [space.indices(f.links).tolist() for f in active]
+        )
         demands = np.fromiter(
             (
                 np.nan if f.demand_bytes_per_s is None else f.demand_bytes_per_s

@@ -2,9 +2,10 @@
 
 Combines the event engine and the max-min rate model into a fluid-flow
 simulator: flows are injected with a byte count and a link set, rates are
-recomputed whenever the flow population changes, and completions fire in
-event order. This is the execution substrate for running collective
-schedules (``repro.sim.runner``) and failure-recovery traffic.
+recomputed once per simulated instant at which the flow population
+changed, and completions fire in event order. This is the execution
+substrate for running collective schedules (``repro.sim.runner``) and
+failure-recovery traffic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..kernels.incidence import FlowIncidence, LinkSpace
 from ..kernels.waterfill import waterfill_rates
 from ..obs.tracer import NULL_TRACER, Tracer
 from .engine import EventEngine, SimulationError
-from .flows import Flow
+from .flows import Flow, check_capacities, check_demand, check_flow
 
 __all__ = ["FlowNetwork", "FlowRecord"]
 
@@ -53,6 +54,13 @@ class FlowRecord:
 class FlowNetwork:
     """Fluid flows over a static set of links.
 
+    An injection or a completion only marks the network dirty; rates are
+    settled once, through :meth:`EventEngine.settle_before_next
+    <repro.sim.engine.EventEngine.settle_before_next>`, before the next
+    event fires. No simulated time passes between the changes of one
+    instant, so the intermediate rates an eager recompute would produce
+    are never used, and completion times equal an eager recompute's.
+
     Attributes:
         engine: the event engine driving the simulation.
         capacities: link capacities, bytes per second.
@@ -76,12 +84,13 @@ class FlowNetwork:
         self._records: list[FlowRecord] = []
         self._completion_events: dict[Hashable, object] = {}
         self._last_update_s = engine.now_s
+        self._dirty = False
         # Kernel state: the link index space and the per-flow link-index
-        # arrays, built lazily. A flow's links are converted to indices
+        # lists, built lazily. A flow's links are converted to indices
         # once at first sight instead of hashing every link on every
         # rebalance.
         self._link_space: LinkSpace | None = None
-        self._flow_indices: dict[Hashable, np.ndarray] = {}
+        self._flow_indices: dict[Hashable, list[int]] = {}
 
     # -- flow lifecycle -----------------------------------------------------------
 
@@ -97,20 +106,24 @@ class FlowNetwork:
 
         Raises:
             SimulationError: on duplicate flow ids.
+            KeyError: when the flow uses a link without a capacity.
+            ValueError: on a non-positive demand cap.
         """
         if flow.flow_id in self._active:
             raise SimulationError(f"flow id {flow.flow_id!r} already active")
+        check_flow(flow, self.capacities)
         self._advance_progress()
         record = FlowRecord(
             flow=flow, start_s=self.engine.now_s, on_complete=on_complete
         )
         self._active[flow.flow_id] = record
         self._records.append(record)
-        self._reschedule()
+        self._mark_dirty()
         return record
 
     def active_flow_count(self) -> int:
-        """Flows currently in the network."""
+        """Flows injected and not yet complete (a flow with no bytes to
+        send completes when the network next settles)."""
         return len(self._active)
 
     @property
@@ -119,6 +132,16 @@ class FlowNetwork:
         return list(self._records)
 
     # -- internals ------------------------------------------------------------------
+
+    def _mark_dirty(self) -> None:
+        """Settle rates once before the next event fires."""
+        if not self._dirty:
+            self._dirty = True
+            self.engine.settle_before_next(self._settle)
+
+    def _settle(self) -> None:
+        self._dirty = False
+        self._reschedule()
 
     def _advance_progress(self) -> None:
         """Debit bytes transferred since the last rate change.
@@ -164,9 +187,9 @@ class FlowNetwork:
     def _compute_rates(self, flows: list[Flow]) -> None:
         """Recompute ``flows``' rates with the water-filling kernel.
 
-        Reuses cached per-flow link-index arrays and skips re-validating
-        links it has already seen (a flow's link set is fixed after
-        injection); validation messages and ordering for *new* flows
+        Capacities and demand caps are re-validated on every call (both
+        are mutable); a flow's links only until its index list is cached
+        (its link set is fixed after injection). Messages and ordering
         match :func:`~repro.sim.flows.max_min_rates`.
         """
         with STATS.timed("waterfill"):
@@ -175,33 +198,19 @@ class FlowNetwork:
                 self.capacities.values(), dtype=np.float64, count=len(space)
             )
             if not (caps > 0.0).all():
-                for link, cap in self.capacities.items():
-                    if cap <= 0:
-                        raise ValueError(
-                            f"link {link!r} has non-positive capacity {cap}"
-                        )
+                check_capacities(self.capacities)
             indices = self._flow_indices
             flow_links = []
             demand_list = []
             for flow in flows:
                 idx = indices.get(flow.flow_id)
                 if idx is None:
-                    try:
-                        idx = space.indices(flow.links)
-                    except KeyError as exc:
-                        raise KeyError(
-                            f"flow {flow.flow_id!r} uses unknown link "
-                            f"{exc.args[0]!r}"
-                        ) from None
-                    indices[flow.flow_id] = idx
+                    check_flow(flow, self.capacities)
+                    idx = indices[flow.flow_id] = space.indices(flow.links).tolist()
+                else:
+                    check_demand(flow)
                 flow_links.append(idx)
                 demand = flow.demand_bytes_per_s
-                if demand is not None and demand <= 0:
-                    raise ValueError(
-                        f"flow {flow.flow_id!r} has a non-positive demand cap "
-                        f"({demand}) and can never make progress; the link "
-                        "capacities are not at fault"
-                    )
                 demand_list.append(np.nan if demand is None else demand)
             demands = np.asarray(demand_list, dtype=np.float64)
             rates = waterfill_rates(
@@ -253,7 +262,7 @@ class FlowNetwork:
         if record is not None:
             record.flow.remaining_bytes = 0.0
             self._complete(flow_id)
-        self._reschedule()
+        self._mark_dirty()
 
     def _complete(self, flow_id: Hashable) -> None:
         record = self._active.pop(flow_id)
@@ -284,17 +293,19 @@ class FlowNetwork:
         defers ``on_complete`` to a zero-delay event, so when the last
         flow finishes those events are still queued at the current time.
         They are drained here (and may inject follow-up flows, which are
-        then run to completion too) rather than silently dropped.
+        then run to completion too) rather than silently dropped. Each
+        pass asks the engine for its next event time first, which settles
+        the network, so flows that settling completes are not counted as
+        active.
         """
+        engine = self.engine
         while True:
+            next_time = engine.next_event_time()
             if self._active:
-                if not self.engine.step():
+                if next_time is None:
                     raise SimulationError(
                         f"{len(self._active)} flows active but no events pending"
                     )
-                continue
-            next_time = self.engine.next_event_time()
-            if next_time is not None and next_time <= self.engine.now_s:
-                self.engine.step()
-                continue
-            return self.engine.now_s
+            elif next_time is None or next_time > engine.now_s:
+                return engine.now_s
+            engine.step()

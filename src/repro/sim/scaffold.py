@@ -1,20 +1,34 @@
 """Scaffolding shared by the event-driven simulators (:mod:`repro.fleet`
-and :mod:`repro.tenancy`): the fabrics they model, a time-weighted step
+and :mod:`repro.tenancy`): the fabrics they model, the finite-float check
+their configs (and the specs that plan them) run, a time-weighted step
 series, and a horizon runner with a sim-time progress hook."""
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Any, Callable
 
 from .engine import EventEngine, SimulationError
 
-__all__ = ["FABRICS", "StepSeries", "run_horizon"]
+__all__ = ["FABRICS", "StepSeries", "require_finite", "run_horizon"]
 
 #: Fabrics the simulators model.
 FABRICS = ("electrical", "photonic")
 
 #: Progress checkpoints per run, one at each tenth of the horizon.
 _CHECKPOINTS = 10
+
+
+def require_finite(record: Any, *names: str) -> None:
+    """Raise ``ValueError`` naming ``Class.field`` for an infinite or NaN
+    value, which every ``<=`` bound check lets through (JSON may spell
+    one ``Infinity``, ``NaN`` or ``1e999``)."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{type(record).__name__}.{name} must be finite, got {value!r}"
+            )
 
 
 class StepSeries:

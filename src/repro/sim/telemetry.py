@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
-import numpy as np
-
 from ..obs.tracer import Tracer
 from .engine import EventEngine
 from .network import FlowNetwork
@@ -232,32 +230,22 @@ class InstrumentedNetwork(FlowNetwork):
     def _aggregate_rates(self, records) -> dict[Hashable, float]:
         """Per-link aggregate rate across the active flows.
 
-        Sums per-flow rates onto the dense link index space with
-        ``np.bincount``, reusing the flow→index arrays the rate kernel
-        cached for every active flow. ``bincount`` accumulates its
-        weights in input order — the order a per-flow dict accumulation
-        adds them — so every per-link total is exact. The dict's keys
-        come in index order; every downstream consumer sorts
-        deterministically.
+        Sums per-flow rates per link index, reusing the flow→index lists
+        the rate kernel cached for every active flow, adding them in flow
+        order — the order a per-flow dict accumulation adds them — so
+        every per-link total is exact. The dict's keys come in index
+        order; every downstream consumer sorts deterministically.
         """
         if not records:
             return {}
         indices = self._flow_indices
-        idx_arrays = [indices[record.flow.flow_id] for record in records]
-        flat = np.concatenate(idx_arrays)
-        weights = np.repeat(
-            np.fromiter(
-                (record.flow.rate_bytes_per_s for record in records),
-                dtype=np.float64,
-                count=len(records),
-            ),
-            [idx.size for idx in idx_arrays],
-        )
-        space = self._link_space
-        sums = np.bincount(flat, weights=weights, minlength=len(space)).tolist()
-        touched = np.bincount(flat, minlength=len(space))
-        links = space.links
-        return {links[i]: sums[i] for i in np.flatnonzero(touched).tolist()}
+        sums: dict[int, float] = {}
+        for record in records:
+            rate = record.flow.rate_bytes_per_s
+            for i in indices[record.flow.flow_id]:
+                sums[i] = sums.get(i, 0.0) + rate
+        links = self._link_space.links
+        return {links[i]: sums[i] for i in sorted(sums)}
 
     def _active_records(self):
         return list(self._active.values())

@@ -32,7 +32,7 @@ from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import nearest_rank
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.engine import EventEngine, SimulationError
-from ..sim.scaffold import FABRICS, StepSeries, run_horizon
+from ..sim.scaffold import FABRICS, StepSeries, require_finite, run_horizon
 from .cluster import ClusterState
 from .policies import (
     CATALOG_SHAPES,
@@ -93,6 +93,13 @@ class TenancyConfig:
         )
         if len(self.rack_shape) < 1 or any(s < 1 for s in self.rack_shape):
             raise ValueError("rack_shape extents must be positive")
+        require_finite(
+            self,
+            "horizon_s",
+            "arrivals_per_day",
+            "mean_duration_s",
+            "max_queue_wait_s",
+        )
         if self.racks < 1:
             raise ValueError("the cluster needs at least one rack")
         if self.horizon_s <= 0:

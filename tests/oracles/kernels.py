@@ -42,7 +42,7 @@ def max_min_rates_reference(
     :func:`repro.sim.flows.max_min_rates`.
     """
     for link, cap in capacity_bytes_per_s.items():
-        if cap <= 0:
+        if not cap > 0:
             raise ValueError(f"link {link!r} has non-positive capacity {cap}")
     active = list(flows)
     for flow in active:

@@ -1,12 +1,17 @@
-"""Fluid networks that settle rates and progress with per-flow loops.
+"""Fluid networks that compute the same timelines the plain way.
 
 :class:`ReferenceFlowNetwork` and :class:`ReferenceInstrumentedNetwork`
 are :class:`~repro.sim.network.FlowNetwork` and
 :class:`~repro.sim.telemetry.InstrumentedNetwork` with their three
-array-kernel steps replaced by the straightforward loops: water-filling
-over dicts, a per-flow byte debit, and a per-flow dict accumulation of
-link rates. Event scheduling is inherited unchanged, so the record and
+kernel steps replaced by the straightforward loops: water-filling over
+dicts, a per-flow byte debit, and a per-flow dict accumulation of link
+rates. Event scheduling is inherited unchanged, so the record and
 telemetry timelines of the two pairs must agree exactly.
+
+:class:`EagerFlowNetwork` and :class:`EagerInstrumentedNetwork` keep the
+kernels but recompute rates at every injection and completion instead
+of once per instant, as the networks once did; their timelines must
+equal the settled networks' too.
 """
 
 from __future__ import annotations
@@ -50,3 +55,14 @@ class ReferenceInstrumentedNetwork(InstrumentedNetwork, ReferenceFlowNetwork):
             for link in record.flow.links:
                 rates[link] = rates.get(link, 0.0) + record.flow.rate_bytes_per_s
         return rates
+
+
+class EagerFlowNetwork(FlowNetwork):
+    """A :class:`FlowNetwork` that recomputes rates at every change."""
+
+    def _mark_dirty(self) -> None:
+        self._reschedule()
+
+
+class EagerInstrumentedNetwork(InstrumentedNetwork, EagerFlowNetwork):
+    """An :class:`InstrumentedNetwork` over :class:`EagerFlowNetwork`."""

@@ -1,8 +1,12 @@
 """Tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 
 from repro.sim.engine import EventEngine, SimulationError
+from repro.sim.flows import Flow
+from repro.sim.network import FlowNetwork
 
 
 class TestScheduling:
@@ -149,6 +153,40 @@ class TestPendingCount:
         assert engine.processed == 2
 
 
+class TestSettle:
+    def test_runs_once_before_the_next_event(self):
+        engine = EventEngine()
+        log = []
+        engine.schedule_at(1.0, lambda: log.append("event"))
+        engine.settle_before_next(lambda: log.append("settle"))
+        engine.run()
+        assert log == ["settle", "event"]
+
+    def test_runs_before_events_of_the_same_instant(self):
+        engine = EventEngine()
+        log = []
+
+        def handler():
+            log.append("handler")
+            engine.settle_before_next(lambda: log.append("settle"))
+
+        engine.schedule_at(1.0, handler)
+        engine.schedule_at(1.0, lambda: log.append("same instant"))
+        engine.run()
+        assert log == ["handler", "settle", "same instant"]
+
+    def test_what_a_settle_schedules_is_seen(self):
+        engine = EventEngine()
+        fired = []
+        engine.settle_before_next(
+            lambda: engine.schedule_after(0.5, lambda: fired.append(engine.now_s))
+        )
+        assert engine.next_event_time() == 0.5
+        engine.run()
+        assert fired == [0.5]
+        assert engine.processed == 1
+
+
 class TestClose:
     def test_drops_queued_events_and_their_callbacks(self):
         engine = EventEngine()
@@ -159,3 +197,17 @@ class TestClose:
         assert engine.next_event_time() is None
         assert held.cancelled and held.action is None
         assert engine.processed == 1 and engine.now_s == 2.0
+
+    def test_drops_pending_settle_actions(self):
+        # A dirty network's settle is dropped too: closing runs nothing
+        # and keeps no reference to the network.
+        engine = EventEngine()
+        network = FlowNetwork(engine, {"a": 1.0})
+        network.inject(Flow("f0", ("a",), 1.0))
+        engine.close()
+        assert engine.next_event_time() is None
+        assert engine.processed == 0
+        assert network.records[0].flow.rate_bytes_per_s == 0.0
+        ref = weakref.ref(network)
+        del network
+        assert ref() is None

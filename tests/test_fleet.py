@@ -126,6 +126,23 @@ class TestFleetConfig:
         with pytest.raises(ValueError):
             FleetConfig(series_points=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "horizon_s",
+            "mtbf_s",
+            "spare_replenish_s",
+            "migration_s",
+            "circuit_setup_s",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_floats_rejected(self, field, value):
+        # `<= 0` is False for NaN and infinity; an MTBF of NaN used to
+        # run a fleet that never fails. Only the config is built here.
+        with pytest.raises(ValueError, match=f"FleetConfig.{field} must be finite"):
+            FleetConfig(**{field: value})
+
     def test_chips(self):
         assert FleetConfig().chips == 4096
         assert DENSE.chips == 16

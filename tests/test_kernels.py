@@ -11,7 +11,7 @@ pinned explicitly.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -41,6 +41,8 @@ from tests.oracles.kernels import (
     max_min_rates_reference,
 )
 from tests.oracles.network import (
+    EagerFlowNetwork,
+    EagerInstrumentedNetwork,
     ReferenceFlowNetwork,
     ReferenceInstrumentedNetwork,
 )
@@ -90,21 +92,18 @@ class TestIncidence:
         with pytest.raises(KeyError):
             space.indices(("a", "zzz"))
 
-    def test_flow_incidence_csr(self):
+    def test_flow_incidence_lists(self):
         space = LinkSpace({"a": 1.0, "b": 1.0, "c": 1.0})
         inc = FlowIncidence(
-            [space.indices(("a", "c")), space.indices(("b",))]
+            [space.indices(("a", "c")).tolist(), space.indices(("b",)).tolist()]
         )
         assert inc.flow_count == 2
-        assert inc.lengths.tolist() == [2, 1]
-        assert inc.flat.tolist() == [0, 2, 1]
-        assert inc.seg.tolist() == [0, 0, 1]
+        assert inc.flow_links == [[0, 2], [1]]
 
     def test_flow_incidence_empty(self):
         inc = FlowIncidence([])
         assert inc.flow_count == 0
-        assert inc.flat.size == 0
-        assert inc.seg.size == 0
+        assert inc.flow_links == []
 
 
 # -- water-filling bit-identity ------------------------------------------------
@@ -234,6 +233,93 @@ class TestWaterfillIdentity:
         flows[0].demand_bytes_per_s = 0.0  # bypass Flow's own validation
         with pytest.raises(ValueError, match="non-positive demand cap"):
             WATERFILL[kernel](flows, {"L0": 1.0})
+
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
+    def test_nan_capacity_error_parity(self, kernel):
+        # NaN <= 0 is False, so a NaN capacity used to slip past the check.
+        flows = _build([("f0", ("a",), None)])
+        with pytest.raises(
+            ValueError, match=r"link 'a' has non-positive capacity nan"
+        ):
+            WATERFILL[kernel](flows, {"a": float("nan")})
+
+
+#: A few capacities and caps, so link shares tie in nearly every round,
+#: as they do on a torus of equal links.
+TIE_VALUES = (0.5, 1.0, 2.0, 4.0)
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Like :func:`waterfill_problems`, with every capacity and demand
+    cap drawn from :data:`TIE_VALUES`."""
+    n_links = draw(st.integers(min_value=1, max_value=6))
+    caps = {f"L{i}": draw(st.sampled_from(TIE_VALUES)) for i in range(n_links)}
+    flows = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        links = tuple(
+            draw(
+                st.lists(
+                    st.sampled_from(sorted(caps)),
+                    min_size=1,
+                    max_size=2 * n_links,
+                )
+            )
+        )
+        demand = draw(st.one_of(st.none(), st.sampled_from(TIE_VALUES)))
+        flows.append((f"f{i}", links, demand))
+    return caps, flows
+
+
+@st.composite
+def ring_problems(draw):
+    """A ring stage's shape: up to 64 single-link flows over a few
+    hundred links, most of one capacity, some sharing a link."""
+    n_links = draw(st.integers(min_value=1, max_value=384))
+    base = draw(st.sampled_from(TIE_VALUES))
+    overrides = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=n_links - 1),
+            st.sampled_from(TIE_VALUES),
+            max_size=16,
+        )
+    )
+    caps = {f"L{i}": overrides.get(i, base) for i in range(n_links)}
+    flows = []
+    for i in range(draw(st.integers(min_value=1, max_value=64))):
+        link = draw(st.integers(min_value=0, max_value=n_links - 1))
+        demand = draw(st.one_of(st.none(), st.sampled_from(TIE_VALUES)))
+        flows.append((f"f{i}", (f"L{link}",), demand))
+    return caps, flows
+
+
+class TestWaterfillTies:
+    """Exact equality where the bottleneck tie-break decides the rates."""
+
+    @given(tie_heavy_problems())
+    @settings(max_examples=300, deadline=None)
+    # L0 and L1 tie at s = 0.5 / 3. L0 is seen first, so all three
+    # flows freeze at s; taking L1 first would leave f0 alone on L0
+    # with (0.5 - s) - s, two ulps above s.
+    @example(
+        (
+            {"L0": 0.5, "L1": 0.5},
+            [
+                ("f0", ("L0",), None),
+                ("f1", ("L0", "L1"), None),
+                ("f2", ("L0", "L1", "L1"), None),
+            ],
+        )
+    )
+    def test_tie_heavy_problems_bit_identical(self, problem):
+        ref, vec, _, _ = _both_backends(*problem)
+        assert ref == vec
+
+    @given(ring_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_ring_problems_bit_identical(self, problem):
+        ref, vec, _, _ = _both_backends(*problem)
+        assert ref == vec
 
 
 # -- bucket stage costs --------------------------------------------------------
@@ -457,6 +543,34 @@ def _timeline(network):
     return [(r.flow.flow_id, r.start_s, r.finish_s) for r in network.records]
 
 
+class _CountsRateComputations:
+    """Counts how often the network computes rates."""
+
+    rate_computations = 0
+
+    def _compute_rates(self, flows):
+        self.rate_computations += 1
+        super()._compute_rates(flows)
+
+
+class CountingFlowNetwork(_CountsRateComputations, FlowNetwork):
+    pass
+
+
+class CountingEagerFlowNetwork(_CountsRateComputations, EagerFlowNetwork):
+    pass
+
+
+class CountingInstrumentedNetwork(_CountsRateComputations, InstrumentedNetwork):
+    pass
+
+
+class CountingEagerInstrumentedNetwork(
+    _CountsRateComputations, EagerInstrumentedNetwork
+):
+    pass
+
+
 class TestNetworkIdentity:
     @given(flow_schedules())
     @settings(max_examples=150, deadline=None)
@@ -481,6 +595,40 @@ class TestNetworkIdentity:
             ) == vec.telemetry.carried_bytes(link)
         assert ref.telemetry.busiest_links() == vec.telemetry.busiest_links()
         assert ref.telemetry.idle_links() == vec.telemetry.idle_links()
+
+    @given(flow_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_settled_records_equal_eager(self, schedule):
+        caps, flows = schedule
+        eager = _run_flow_schedule(CountingEagerFlowNetwork, caps, flows)
+        settled = _run_flow_schedule(CountingFlowNetwork, caps, flows)
+        assert _timeline(eager) == _timeline(settled)  # exact floats
+        assert settled.rate_computations <= eager.rate_computations
+
+    @given(flow_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_settled_telemetry_equals_eager(self, schedule):
+        caps, flows = schedule
+        eager = _run_flow_schedule(CountingEagerInstrumentedNetwork, caps, flows)
+        settled = _run_flow_schedule(CountingInstrumentedNetwork, caps, flows)
+        assert _timeline(eager) == _timeline(settled)
+        for link in caps:
+            assert eager.telemetry.samples(link) == settled.telemetry.samples(link)
+        assert settled.rate_computations <= eager.rate_computations
+
+    def test_one_rate_computation_per_instant(self):
+        # Four flows injected in one handler settle once; the eager
+        # network computes rates at each injection.
+        for cls, expected in (
+            (CountingFlowNetwork, 1),
+            (CountingEagerFlowNetwork, 4),
+        ):
+            engine = EventEngine()
+            network = cls(engine, {"a": 4.0, "b": 4.0})
+            for i in range(4):
+                network.inject(Flow(f"f{i}", ("a", "b"), 4.0 * (i + 1)))
+            engine.next_event_time()
+            assert network.rate_computations == expected
 
     @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
     def test_zeroed_cap_error_parity_via_network(self, kernel):

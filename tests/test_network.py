@@ -154,9 +154,31 @@ class TestValidation:
         # Regression: a demand cap zeroed after construction used to
         # freeze the flow at rate 0 and raise "starved (zero rate);
         # check link capacities" — blaming the (perfectly fine) links.
-        # The rate model now rejects the cap itself, by name.
+        # The rate model now rejects the cap itself, by name, when the
+        # network next settles its rates.
         engine, network = make()
         record = network.inject(Flow("a", ("l1",), 100.0, demand_bytes_per_s=5.0))
         record.flow.demand_bytes_per_s = 0.0
+        network.inject(Flow("b", ("l1",), 50.0))
         with pytest.raises(ValueError, match="not at fault"):
-            network.inject(Flow("b", ("l1",), 50.0))
+            network.run_until_idle()
+
+    def test_nan_capacity_named(self):
+        # NaN <= 0 is False: a NaN capacity used to reach the kernel and
+        # fail there with an IndexError instead of naming the link.
+        engine, network = make({"l1": float("nan")})
+        network.inject(Flow("a", ("l1",), 100.0))
+        with pytest.raises(
+            ValueError, match=r"link 'l1' has non-positive capacity nan"
+        ):
+            network.run_until_idle()
+
+    def test_rejected_flow_leaves_no_trace(self):
+        # A flow is validated before it touches any state.
+        engine, network = make()
+        with pytest.raises(KeyError, match="unknown link 'ghost'"):
+            network.inject(Flow("a", ("l1", "ghost"), 10.0))
+        assert network.active_flow_count() == 0
+        assert network.records == []
+        network.inject(Flow("a", ("l1",), 10.0))
+        assert network.run_until_idle() == pytest.approx(1.0)

@@ -124,12 +124,14 @@ class TestSchemaAndGolden:
         assert {r["level"] for r in records(stream)} <= set(LEVELS)
 
     def test_golden_bytes(self):
-        """``python -m repro.obs.log`` must reproduce the checked-in
-        golden byte-for-byte — the CI ``cmp`` check."""
+        """``python -m repro.obs`` must reproduce the checked-in golden
+        byte-for-byte — the CI ``cmp`` check — without runpy's warning
+        about re-executing an imported module (an error here)."""
         result = subprocess.run(
-            [sys.executable, "-m", "repro.obs.log"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs"],
             capture_output=True,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
         assert result.stdout == GOLDEN.read_bytes()

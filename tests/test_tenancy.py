@@ -294,6 +294,19 @@ class TestTenancyConfig:
         with pytest.raises(ValueError):
             TenancyConfig(rack_shape=(0, 4, 4))
 
+    @pytest.mark.parametrize(
+        "field",
+        ["horizon_s", "arrivals_per_day", "mean_duration_s", "max_queue_wait_s"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_floats_rejected(self, field, value):
+        # `<= 0` is False for NaN and infinity; a NaN horizon used to
+        # run without end. Only the config is built here.
+        with pytest.raises(
+            ValueError, match=f"TenancyConfig.{field} must be finite"
+        ):
+            TenancyConfig(**{field: value})
+
     def test_chips(self):
         assert TenancyConfig().total_chips == 256
         assert SHORT.total_chips == 128
