@@ -70,9 +70,10 @@ class EventEngine:
         """Schedule ``action`` at absolute time ``time_s``.
 
         Raises:
-            SimulationError: if the time is in the past.
+            SimulationError: if the time is in the past or NaN (written
+                ``not >=`` so NaN, which every comparison rejects, fails).
         """
-        if time_s < self.now_s:
+        if not time_s >= self.now_s:
             raise SimulationError(
                 f"cannot schedule at {time_s} before now ({self.now_s})"
             )

@@ -11,6 +11,7 @@ congestion (multiple transfers on one link) manifest as measured slowdown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -54,17 +55,19 @@ class Flow:
 
 
 def check_capacities(capacity_bytes_per_s: dict[Hashable, float]) -> None:
-    """Reject a capacity that is not positive.
+    """Reject a capacity that is not positive and finite.
 
-    ``not cap > 0`` also catches NaN, which every ``<=`` comparison lets
-    through.
+    ``not 0 < cap < inf`` also catches NaN, which every ``<=`` comparison
+    lets through. An infinite capacity would debit ``inf - inf`` and
+    hand a flow a NaN rate.
 
     Raises:
         ValueError: naming the first such link.
     """
     for link, cap in capacity_bytes_per_s.items():
-        if not cap > 0:
-            raise ValueError(f"link {link!r} has non-positive capacity {cap}")
+        if not 0 < cap < math.inf:
+            kind = "infinite" if cap == math.inf else "non-positive"
+            raise ValueError(f"link {link!r} has {kind} capacity {cap}")
 
 
 def check_demand(flow: Flow) -> None:
@@ -121,8 +124,8 @@ def max_min_rates(
 
     Raises:
         KeyError: when a flow references an unknown link.
-        ValueError: on a link capacity that is not positive (NaN
-            included), or a non-positive demand cap (which would starve
+        ValueError: on a link capacity that is not positive and finite
+            (NaN included), or a non-positive demand cap (which would starve
             the flow forever and — if negative — credit capacity back to
             the link, oversubscribing it for everyone else).
     """

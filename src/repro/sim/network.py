@@ -3,7 +3,8 @@
 Combines the event engine and the max-min rate model into a fluid-flow
 simulator: flows are injected with a byte count and a link set, rates are
 recomputed once per simulated instant at which the flow population
-changed, and completions fire in event order. This is the execution
+changed (for the flow–link components the changes touched), and
+completions fire in event order. This is the execution
 substrate for running collective schedules (``repro.sim.runner``) and
 failure-recovery traffic.
 """
@@ -19,7 +20,7 @@ from ..kernels import STATS
 from ..kernels.incidence import FlowIncidence, LinkSpace
 from ..kernels.waterfill import waterfill_rates
 from ..obs.tracer import NULL_TRACER, Tracer
-from .engine import EventEngine, SimulationError
+from .engine import Event, EventEngine, SimulationError
 from .flows import Flow, check_capacities, check_demand, check_flow
 
 __all__ = ["FlowNetwork", "FlowRecord"]
@@ -61,6 +62,22 @@ class FlowNetwork:
     instant, so the intermediate rates an eager recompute would produce
     are never used, and completion times equal an eager recompute's.
 
+    A settle re-solves only the flow–link components the instant's
+    changes touched: the links of injected and completed flows and of
+    changed capacities, grown through a link → active-flows map into
+    whole components. Max-min rates separate by component, and the
+    water-filling kernel gives an uncapped component the same floats
+    alone as inside the whole population, so untouched flows keep their
+    rates. Demand caps couple components (a capped round compares demands
+    with the smallest share over every link), so while any active flow
+    has a cap, or had one at the last settle, the whole population is
+    re-solved.
+
+    Of the completion events a settle could arm, only the earliest can
+    fire before the next settle (a completion triggers one, which cancels
+    the pending event and arms a fresh one), so one event per network is
+    pending at a time.
+
     Attributes:
         engine: the event engine driving the simulation.
         capacities: link capacities, bytes per second.
@@ -82,15 +99,23 @@ class FlowNetwork:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._active: dict[Hashable, FlowRecord] = {}
         self._records: list[FlowRecord] = []
-        self._completion_events: dict[Hashable, object] = {}
+        self._completion_event: Event | None = None
         self._last_update_s = engine.now_s
         self._dirty = False
-        # Kernel state: the link index space and the per-flow link-index
-        # lists, built lazily. A flow's links are converted to indices
-        # once at first sight instead of hashing every link on every
-        # rebalance.
+        # Kernel state, built at settles: the link index space, the
+        # capacities last validated (as read, and as float64), each
+        # active flow's link indices and each link's active flows.
+        # Injections since the last settle wait in ``_new``; completions
+        # and capacity changes leave their links in ``_touched``;
+        # ``_capped`` tells whether the last settle saw a demand cap.
         self._link_space: LinkSpace | None = None
+        self._cap_values: list[float] = []
+        self._caps: np.ndarray | None = None
         self._flow_indices: dict[Hashable, list[int]] = {}
+        self._link_flows: dict[int, set[Hashable]] = {}
+        self._new: list[Flow] = []
+        self._touched: set[int] = set()
+        self._capped = False
 
     # -- flow lifecycle -----------------------------------------------------------
 
@@ -118,6 +143,7 @@ class FlowNetwork:
         )
         self._active[flow.flow_id] = record
         self._records.append(record)
+        self._new.append(flow)
         self._mark_dirty()
         return record
 
@@ -170,77 +196,150 @@ class FlowNetwork:
                 record.flow.remaining_bytes = left
         self._last_update_s = self.engine.now_s
 
-    def _link_space_current(self) -> LinkSpace:
-        """The capacity index space, rebuilt when the universe changes.
+    def _track(self, flow: Flow) -> list[int]:
+        """Index ``flow``'s links and enter it in the link → flows map."""
+        index = self._link_space.index
+        links = [index[link] for link in flow.links]
+        self._flow_indices[flow.flow_id] = links
+        link_flows = self._link_flows
+        for link in links:
+            users = link_flows.get(link)
+            if users is None:
+                link_flows[link] = {flow.flow_id}
+            else:
+                users.add(flow.flow_id)
+        return links
 
-        Capacity *values* are re-read (and re-validated, as
-        :func:`~repro.sim.flows.max_min_rates` does per call) on every
-        rate computation; only the link→index mapping is cached,
-        invalidated when the ordered link keys change (compared in C).
+    def _stale_flows(self) -> list[Flow]:
+        """Validate the rate model's inputs and return, in active order,
+        the flows whose rates the changes since the last settle can move.
+
+        Capacity values are re-read on every settle and compared with the
+        last validated ones (in C); changed values are re-validated, as
+        :func:`~repro.sim.flows.max_min_rates` validates per call, and
+        their links touched. The link→index mapping is cached until the
+        ordered link keys change, and a rebuild re-indexes every active
+        flow with :func:`check_flow`'s messages. The whole population is
+        returned after a rebuild and whenever a demand cap is or was in
+        play, with every cap re-validated; otherwise the components of
+        the touched links.
         """
         space = self._link_space
-        if space is None or list(self.capacities) != space.links:
-            self._link_space = space = LinkSpace(self.capacities)
+        rebuild = space is None or list(self.capacities) != space.links
+        if rebuild:
+            self._link_space = LinkSpace(self.capacities)
             self._flow_indices.clear()
-        return space
+            self._link_flows.clear()
+            self._cap_values = []
+        values = list(self.capacities.values())
+        if values != self._cap_values:
+            caps = np.array(values, dtype=np.float64)
+            if not ((caps > 0.0) & (caps < np.inf)).all():
+                check_capacities(self.capacities)
+            if not rebuild:
+                self._touched.update(np.flatnonzero(caps != self._caps).tolist())
+            self._cap_values, self._caps = values, caps
+        new, self._new = self._new, []
+        touched, self._touched = self._touched, set()
+        records = self._active.values()
+        capped = any(r.flow.demand_bytes_per_s is not None for r in records)
+        whole = rebuild or capped or self._capped
+        self._capped = capped
+        if whole:
+            indices = self._flow_indices
+            for record in records:
+                flow = record.flow
+                if flow.flow_id in indices:
+                    check_demand(flow)
+                else:
+                    check_flow(flow, self.capacities)
+                    self._track(flow)
+            return [r.flow for r in records]
+        for flow in new:
+            touched.update(self._track(flow))
+        link_flows = self._link_flows
+        indices = self._flow_indices
+        stale: set[Hashable] = set()
+        frontier = list(touched)
+        while frontier:
+            for flow_id in link_flows.get(frontier.pop(), ()):
+                if flow_id not in stale:
+                    stale.add(flow_id)
+                    for link in indices[flow_id]:
+                        if link not in touched:
+                            touched.add(link)
+                            frontier.append(link)
+        if not stale:
+            return []
+        return [r.flow for r in records if r.flow.flow_id in stale]
 
     def _compute_rates(self, flows: list[Flow]) -> None:
-        """Recompute ``flows``' rates with the water-filling kernel.
-
-        Capacities and demand caps are re-validated on every call (both
-        are mutable); a flow's links only until its index list is cached
-        (its link set is fixed after injection). Messages and ordering
-        match :func:`~repro.sim.flows.max_min_rates`.
-        """
+        """Recompute ``flows``' rates with the water-filling kernel, over
+        the capacities :meth:`_stale_flows` validated this settle."""
         with STATS.timed("waterfill"):
-            space = self._link_space_current()
-            caps = np.fromiter(
-                self.capacities.values(), dtype=np.float64, count=len(space)
-            )
-            if not (caps > 0.0).all():
-                check_capacities(self.capacities)
             indices = self._flow_indices
-            flow_links = []
-            demand_list = []
-            for flow in flows:
-                idx = indices.get(flow.flow_id)
-                if idx is None:
-                    check_flow(flow, self.capacities)
-                    idx = indices[flow.flow_id] = space.indices(flow.links).tolist()
-                else:
-                    check_demand(flow)
-                flow_links.append(idx)
-                demand = flow.demand_bytes_per_s
-                demand_list.append(np.nan if demand is None else demand)
-            demands = np.asarray(demand_list, dtype=np.float64)
+            demands = np.fromiter(
+                (
+                    np.nan if f.demand_bytes_per_s is None else f.demand_bytes_per_s
+                    for f in flows
+                ),
+                dtype=np.float64,
+                count=len(flows),
+            )
             rates = waterfill_rates(
-                caps, FlowIncidence(flow_links), demands
+                self._caps,
+                FlowIncidence([indices[f.flow_id] for f in flows]),
+                demands,
             ).tolist()
             for flow, rate in zip(flows, rates):
                 flow.rate_bytes_per_s = rate
 
     def _reschedule(self) -> None:
-        """Recompute rates and (re)schedule every completion event."""
-        for event in self._completion_events.values():
-            event.cancel()
-        self._completion_events.clear()
-        flows = [r.flow for r in self._active.values()]
-        if not flows:
+        """Re-solve the touched components and arm the next completion.
+
+        Every active flow's completion time is recomputed from its
+        debited bytes, ``now + remaining / rate``; the earliest (ties to
+        the first in active order) gets the network's one event. Flows
+        with no bytes left complete inline and a starved flow raises, in
+        active order, and when any does the event is armed at that flow's
+        place in the walk, so its sequence number keeps its order among
+        the completion callbacks the walk schedules.
+        """
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
+        if not self._active:
             return
-        self._compute_rates(flows)
+        stale = self._stale_flows()
+        if stale:
+            self._compute_rates(stale)
         if self.tracer.enabled:
             self.tracer.instant(
                 "rebalance",
                 cat="network",
                 ts_s=self.engine.now_s,
-                args={"active_flows": len(flows)},
+                args={"active_flows": len(self._active)},
             )
+        now = self.engine.now_s
+        first = None
+        first_s = 0.0
+        walk = False
+        for record in self._active.values():
+            flow = record.flow
+            if flow.remaining_bytes <= 0 or flow.rate_bytes_per_s <= 0:
+                walk = True
+                continue
+            finish_s = now + flow.remaining_bytes / flow.rate_bytes_per_s
+            if first is None or finish_s < first_s:
+                first, first_s = record, finish_s
+        if not walk:
+            self._arm(first, first_s)
+            return
         for record in list(self._active.values()):
             flow = record.flow
             if flow.remaining_bytes <= 0:
                 self._complete(flow.flow_id)
-                continue
-            if flow.rate_bytes_per_s <= 0:
+            elif flow.rate_bytes_per_s <= 0:
                 cause = (
                     f"its demand cap is {flow.demand_bytes_per_s}"
                     if flow.demand_bytes_per_s is not None
@@ -249,11 +348,14 @@ class FlowNetwork:
                 raise SimulationError(
                     f"flow {flow.flow_id!r} starved (zero rate); {cause}"
                 )
-            eta = flow.remaining_bytes / flow.rate_bytes_per_s
-            flow_id = flow.flow_id
-            self._completion_events[flow_id] = self.engine.schedule_after(
-                eta, lambda fid=flow_id: self._on_complete(fid)
-            )
+            elif record is first:
+                self._arm(first, first_s)
+
+    def _arm(self, record: FlowRecord, finish_s: float) -> None:
+        flow_id = record.flow.flow_id
+        self._completion_event = self.engine.schedule_at(
+            finish_s, lambda: self._on_complete(flow_id)
+        )
 
     def _on_complete(self, flow_id: Hashable) -> None:
         self._advance_progress()
@@ -275,9 +377,10 @@ class FlowNetwork:
                 end_s=record.finish_s,
                 args={"links": len(record.flow.links)},
             )
-        event = self._completion_events.pop(flow_id, None)
-        if event is not None:
-            event.cancel()
+        links = self._flow_indices.pop(flow_id)
+        for link in links:
+            self._link_flows[link].discard(flow_id)
+        self._touched.update(links)
         if record.on_complete is not None:
             # Defer to a zero-delay event so callbacks (which may inject
             # new flows) never re-enter a rate recomputation in progress.

@@ -231,7 +231,7 @@ class InstrumentedNetwork(FlowNetwork):
         """Per-link aggregate rate across the active flows.
 
         Sums per-flow rates per link index, reusing the flow→index lists
-        the rate kernel cached for every active flow, adding them in flow
+        the network keeps for every active flow, adding them in flow
         order — the order a per-flow dict accumulation adds them — so
         every per-link total is exact. The dict's keys come in index
         order; every downstream consumer sorts deterministically.

@@ -16,6 +16,7 @@ tests assert exact equality against these.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable
 
 from repro.collectives.cost_model import (
@@ -42,8 +43,9 @@ def max_min_rates_reference(
     :func:`repro.sim.flows.max_min_rates`.
     """
     for link, cap in capacity_bytes_per_s.items():
-        if not cap > 0:
-            raise ValueError(f"link {link!r} has non-positive capacity {cap}")
+        if not 0 < cap < math.inf:
+            kind = "infinite" if cap == math.inf else "non-positive"
+            raise ValueError(f"link {link!r} has {kind} capacity {cap}")
     active = list(flows)
     for flow in active:
         for link in flow.links:

@@ -44,6 +44,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             EventEngine().schedule_after(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # NaN fails every comparison, so "nan < now" let it in: events at
+        # 2.0, NaN and 1.0 used to fire in the order 1.0, NaN, 2.0.
+        engine = EventEngine()
+        engine.schedule_at(2.0, lambda: None)
+        with pytest.raises(SimulationError, match="cannot schedule at nan"):
+            engine.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match="cannot schedule at nan"):
+            engine.schedule_after(float("nan"), lambda: None)
+        assert engine.pending == 1
+
 
 class TestExecution:
     def test_step_returns_false_when_empty(self):

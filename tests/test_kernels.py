@@ -28,6 +28,7 @@ from repro.kernels import KernelStats, STATS
 from repro.kernels.incidence import FlowIncidence, LinkSpace
 from repro.kernels.stagecosts import bucket_stage_arrays
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import network as network_module
 from repro.sim.engine import EventEngine
 from repro.sim.flows import Flow, max_min_rates
 from repro.sim.network import FlowNetwork
@@ -45,6 +46,8 @@ from tests.oracles.network import (
     EagerInstrumentedNetwork,
     ReferenceFlowNetwork,
     ReferenceInstrumentedNetwork,
+    WholeSolveFlowNetwork,
+    WholeSolveInstrumentedNetwork,
 )
 from tests.test_recovery import figure6b_scenario
 
@@ -243,6 +246,16 @@ class TestWaterfillIdentity:
         ):
             WATERFILL[kernel](flows, {"a": float("nan")})
 
+    @pytest.mark.parametrize("kernel", IMPLEMENTATIONS)
+    def test_infinite_capacity_error_parity(self, kernel):
+        # The debit inf - inf used to hand "b" a NaN rate.
+        flows = _build([("a", ("x", "z"), None), ("b", ("z",), None)])
+        inf = float("inf")
+        with pytest.raises(
+            ValueError, match=r"link 'x' has infinite capacity inf"
+        ):
+            WATERFILL[kernel](flows, {"x": inf, "z": inf})
+
 
 #: A few capacities and caps, so link shares tie in nearly every round,
 #: as they do on a torus of equal links.
@@ -320,6 +333,79 @@ class TestWaterfillTies:
     def test_ring_problems_bit_identical(self, problem):
         ref, vec, _, _ = _both_backends(*problem)
         assert ref == vec
+
+
+def _components(flows):
+    """The flows' flow–link components as lists of flow positions, each
+    in input order."""
+    group = list(range(len(flows)))
+
+    def root(i):
+        while group[i] != i:
+            group[i] = i = group[group[i]]
+        return i
+
+    first_user = {}
+    for i, (_, links, _) in enumerate(flows):
+        for link in links:
+            group[root(i)] = root(first_user.setdefault(link, i))
+    members = {}
+    for i in range(len(flows)):
+        members.setdefault(root(i), []).append(i)
+    return list(members.values())
+
+
+#: Demand caps couple components: the capped round compares each demand
+#: with the smallest share over every link, so L's component alone is
+#: solved against M's share and freezes f1 and f0 in a different order.
+CAPPED_COUPLING = (
+    {"L": 1.0, "M": 0.15},
+    [
+        ("f0", ("L",), 0.2),
+        ("f1", ("L",), 0.1),
+        ("h", ("L",), None),
+        ("g", ("M",), None),
+    ],
+)
+
+
+class TestWaterfillComponents:
+    """An uncapped flow–link component solved alone gets exactly the
+    rates it gets inside the whole population, which lets a network
+    re-solve only the components a change touched."""
+
+    @staticmethod
+    def _assert_components_solve_alone(problem):
+        caps, flows = problem
+        flows = [(fid, links, None) for fid, links, _ in flows]
+        whole = max_min_rates(_build(flows), dict(caps))
+        for component in _components(flows):
+            alone = max_min_rates(
+                _build([flows[i] for i in component]), dict(caps)
+            )
+            assert alone == {fid: whole[fid] for fid in alone}
+
+    @given(waterfill_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_random_problems(self, problem):
+        self._assert_components_solve_alone(problem)
+
+    @given(tie_heavy_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_problems(self, problem):
+        self._assert_components_solve_alone(problem)
+
+    @given(ring_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_ring_problems(self, problem):
+        self._assert_components_solve_alone(problem)
+
+    def test_caps_couple_components(self):
+        caps, flows = CAPPED_COUPLING
+        whole = max_min_rates(_build(flows), dict(caps))
+        alone = max_min_rates(_build(flows[:3]), dict(caps))
+        assert whole["h"] == 0.7
+        assert alone["h"] == 0.7000000000000001
 
 
 # -- bucket stage costs --------------------------------------------------------
@@ -488,32 +574,54 @@ NETWORKS = {"reference": ReferenceFlowNetwork, "vectorized": FlowNetwork}
 
 
 @st.composite
-def flow_schedules(draw):
-    """Random link capacities and a flow schedule over them.
+def flow_schedules(draw, zero_byte_flows=True):
+    """Random link capacities, a flow schedule over them, and capacity
+    edits scheduled mid-run.
 
     Each flow is injected either at a random time or from the completion
     callback of an earlier flow, so injections land both between and
-    inside other events' handlers.
+    inside other events' handlers. Half the schedules cap no flow, so
+    settles re-solve only touched components. With ``zero_byte_flows``
+    some flows carry no bytes.
     """
     n_links = draw(st.integers(min_value=1, max_value=5))
     positive = st.floats(min_value=0.5, max_value=16.0, allow_nan=False)
     caps = {f"L{i}": draw(positive) for i in range(n_links)}
+    capped = draw(st.booleans())
     flows = []
     for i in range(draw(st.integers(min_value=1, max_value=8))):
         links = tuple(
             draw(st.lists(st.sampled_from(sorted(caps)), min_size=1, max_size=3))
         )
-        size = draw(st.floats(min_value=0.5, max_value=64.0, allow_nan=False))
-        demand = draw(st.one_of(st.none(), st.floats(min_value=0.1, max_value=16.0)))
+        size = draw(
+            st.floats(min_value=0.5, max_value=64.0, allow_nan=False)
+            | (st.just(0.0) if zero_byte_flows else st.nothing())
+        )
+        demand = (
+            draw(st.one_of(st.none(), st.floats(min_value=0.1, max_value=16.0)))
+            if capped
+            else None
+        )
         if i and draw(st.booleans()):
             start = ("after", draw(st.integers(min_value=0, max_value=i - 1)))
         else:
             start = ("at", draw(st.floats(min_value=0.0, max_value=8.0)))
         flows.append((f"f{i}", links, size, demand, start))
-    return caps, flows
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=8.0),
+                st.sampled_from(sorted(caps)),
+                positive,
+            ),
+            max_size=3,
+        )
+    )
+    return caps, flows, edits
 
 
-def _run_flow_schedule(cls, caps, flows):
+def _run_flow_schedule(cls, schedule):
+    caps, flows, edits = schedule
     engine = EventEngine()
     network = cls(engine, caps)
     followers = {}
@@ -534,6 +642,12 @@ def _run_flow_schedule(cls, caps, flows):
     for fid, _, _, _, (kind, arg) in flows:
         if kind == "at":
             engine.schedule_at(arg, lambda fid=fid: inject(fid))
+
+    def edit(link, cap):
+        network.capacities[link] = cap
+
+    for time_s, link, cap in edits:
+        engine.schedule_at(time_s, lambda link=link, cap=cap: edit(link, cap))
     engine.run()
     assert network.active_flow_count() == 0
     return network
@@ -575,20 +689,18 @@ class TestNetworkIdentity:
     @given(flow_schedules())
     @settings(max_examples=150, deadline=None)
     def test_completion_times_bit_identical(self, schedule):
-        caps, flows = schedule
-        ref = _run_flow_schedule(ReferenceFlowNetwork, caps, flows)
-        vec = _run_flow_schedule(FlowNetwork, caps, flows)
-        assert len(vec.records) == len(flows)
+        ref = _run_flow_schedule(ReferenceFlowNetwork, schedule)
+        vec = _run_flow_schedule(FlowNetwork, schedule)
+        assert len(vec.records) == len(schedule[1])
         assert _timeline(ref) == _timeline(vec)  # exact floats
 
     @given(flow_schedules())
     @settings(max_examples=150, deadline=None)
     def test_telemetry_timelines_bit_identical(self, schedule):
-        caps, flows = schedule
-        ref = _run_flow_schedule(ReferenceInstrumentedNetwork, caps, flows)
-        vec = _run_flow_schedule(InstrumentedNetwork, caps, flows)
+        ref = _run_flow_schedule(ReferenceInstrumentedNetwork, schedule)
+        vec = _run_flow_schedule(InstrumentedNetwork, schedule)
         assert _timeline(ref) == _timeline(vec)
-        for link in caps:
+        for link in schedule[0]:
             assert ref.telemetry.samples(link) == vec.telemetry.samples(link)
             assert ref.telemetry.carried_bytes(
                 link
@@ -596,23 +708,25 @@ class TestNetworkIdentity:
         assert ref.telemetry.busiest_links() == vec.telemetry.busiest_links()
         assert ref.telemetry.idle_links() == vec.telemetry.idle_links()
 
-    @given(flow_schedules())
+    # A flow with no bytes takes a share in its instant's solve and
+    # completes in it, and the flows solved with it keep that rate until
+    # the next change; an eager network solves at each injection, so the
+    # two differ once a zero-byte flow shares an instant with another.
+    @given(flow_schedules(zero_byte_flows=False))
     @settings(max_examples=150, deadline=None)
     def test_settled_records_equal_eager(self, schedule):
-        caps, flows = schedule
-        eager = _run_flow_schedule(CountingEagerFlowNetwork, caps, flows)
-        settled = _run_flow_schedule(CountingFlowNetwork, caps, flows)
+        eager = _run_flow_schedule(CountingEagerFlowNetwork, schedule)
+        settled = _run_flow_schedule(CountingFlowNetwork, schedule)
         assert _timeline(eager) == _timeline(settled)  # exact floats
         assert settled.rate_computations <= eager.rate_computations
 
-    @given(flow_schedules())
+    @given(flow_schedules(zero_byte_flows=False))
     @settings(max_examples=100, deadline=None)
     def test_settled_telemetry_equals_eager(self, schedule):
-        caps, flows = schedule
-        eager = _run_flow_schedule(CountingEagerInstrumentedNetwork, caps, flows)
-        settled = _run_flow_schedule(CountingInstrumentedNetwork, caps, flows)
+        eager = _run_flow_schedule(CountingEagerInstrumentedNetwork, schedule)
+        settled = _run_flow_schedule(CountingInstrumentedNetwork, schedule)
         assert _timeline(eager) == _timeline(settled)
-        for link in caps:
+        for link in schedule[0]:
             assert eager.telemetry.samples(link) == settled.telemetry.samples(link)
         assert settled.rate_computations <= eager.rate_computations
 
@@ -667,6 +781,138 @@ class TestNetworkIdentity:
         network.capacities["b"] = 2.0
         network.inject(Flow("f1", ("b",), 2.0))
         assert network.run_until_idle() == 2.0
+
+
+class SolveRecordingFlowNetwork(FlowNetwork):
+    """Records the flow ids of every rate computation."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.solves = []
+
+    def _compute_rates(self, flows):
+        self.solves.append([f.flow_id for f in flows])
+        super()._compute_rates(flows)
+
+
+def _run_cap_edit(cls, demand):
+    """f0 (capped) and h share L, g has M; f0's cap becomes ``demand`` at
+    1 s, and g2 joins M at 2 s, a change that touches only M."""
+    engine = EventEngine()
+    network = cls(engine, {"L": 1.0, "M": 1.0})
+    f0 = Flow("f0", ("L",), 10.0, demand_bytes_per_s=0.2)
+    for flow in (f0, Flow("h", ("L",), 10.0), Flow("g", ("M",), 10.0)):
+        network.inject(flow)
+    engine.run(until_s=1.0)
+    f0.demand_bytes_per_s = demand
+    engine.schedule_at(2.0, lambda: network.inject(Flow("g2", ("M",), 1.0)))
+    engine.run(until_s=2.0)
+    rate = f0.rate_bytes_per_s
+    network.run_until_idle()
+    return network, rate
+
+
+class TestComponentSettle:
+    """A settle re-solves only the touched flow–link components and arms
+    one completion event, with the whole-solve network's results."""
+
+    @given(flow_schedules())
+    @settings(max_examples=200, deadline=None)
+    def test_records_equal_whole_solve(self, schedule):
+        whole = _run_flow_schedule(WholeSolveFlowNetwork, schedule)
+        settled = _run_flow_schedule(FlowNetwork, schedule)
+        assert _timeline(whole) == _timeline(settled)  # exact floats
+        assert whole.engine.processed == settled.engine.processed
+
+    @given(flow_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_telemetry_equals_whole_solve(self, schedule):
+        whole = _run_flow_schedule(WholeSolveInstrumentedNetwork, schedule)
+        settled = _run_flow_schedule(InstrumentedNetwork, schedule)
+        assert _timeline(whole) == _timeline(settled)
+        for link in schedule[0]:
+            assert whole.telemetry.samples(link) == settled.telemetry.samples(link)
+        assert whole.engine.processed == settled.engine.processed
+
+    def test_capped_population_solved_whole(self):
+        # g settles alone; at 1 s the capped flows join L, a change that
+        # touches only L's component. Solving it alone would give h
+        # 0.7000000000000001.
+        caps, flows = CAPPED_COUPLING
+        networks = []
+        for cls in (SolveRecordingFlowNetwork, WholeSolveFlowNetwork):
+            engine = EventEngine()
+            network = cls(engine, caps)
+            *on_l, g = _build(flows)
+            network.inject(g)
+            engine.schedule_at(1.0, lambda: [network.inject(f) for f in on_l])
+            engine.run(until_s=1.0)
+            assert on_l[2].rate_bytes_per_s == 0.7
+            network.run_until_idle()
+            networks.append(network)
+        settled, whole = networks
+        assert settled.solves[1] == ["g", "f0", "f1", "h"]
+        assert _timeline(settled) == _timeline(whole)
+
+    @pytest.mark.parametrize("demand", [None, 0.4])
+    def test_cap_edit_on_untouched_flow_is_picked_up(self, demand):
+        # f0's cap changes (or goes) while only M's component changes;
+        # while a cap is or was in play the whole population is solved.
+        settled, rate = _run_cap_edit(SolveRecordingFlowNetwork, demand)
+        whole, whole_rate = _run_cap_edit(WholeSolveFlowNetwork, demand)
+        assert rate == whole_rate == (0.5 if demand is None else 0.4)
+        assert settled.solves[1] == ["f0", "h", "g", "g2"]
+        assert _timeline(settled) == _timeline(whole)
+
+    def test_private_completion_solves_nothing(self, monkeypatch):
+        calls = []
+        kernel = network_module.waterfill_rates
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(network_module, "waterfill_rates", counting)
+        engine = EventEngine()
+        network = FlowNetwork(engine, {"a": 10.0, "b": 10.0})
+        network.inject(Flow("short", ("a",), 10.0))
+        network.inject(Flow("long", ("b",), 100.0))
+        assert engine.next_event_time() == 1.0
+        assert len(calls) == 1
+        engine.step()  # "short" completes; nothing shares its link
+        assert engine.next_event_time() == 10.0
+        assert len(calls) == 1
+        assert network.run_until_idle() == 10.0
+
+    def test_armed_event_keeps_its_place_among_callbacks(self):
+        # y's sliver finishes "now" (1.0 + 2e-300 == 1.0) and y precedes
+        # x, which completes inline: y's event was scheduled before x's
+        # callback, so y is gone by the time the callback runs.
+        for cls in (FlowNetwork, WholeSolveFlowNetwork):
+            engine = EventEngine()
+            network = cls(engine, {"a": 1.0})
+            seen = []
+
+            def inject_both():
+                network.inject(Flow("y", ("a",), 1e-300))
+                network.inject(
+                    Flow("x", ("a",), 0.0),
+                    on_complete=lambda r: seen.append(network.active_flow_count()),
+                )
+
+            engine.schedule_at(1.0, inject_both)
+            engine.run()
+            assert seen == [0]
+            assert [r.finish_s for r in network.records] == [1.0, 1.0]
+
+    def test_one_completion_event_per_network(self):
+        for cls, pending in ((FlowNetwork, 1), (WholeSolveFlowNetwork, 3)):
+            engine = EventEngine()
+            network = cls(engine, {"a": 1.0, "b": 2.0, "c": 4.0})
+            for link in ("a", "b", "c"):
+                network.inject(Flow(link, (link,), 8.0))
+            assert engine.next_event_time() == 2.0
+            assert engine.pending == pending
 
 
 class TestLinkTelemetryRegression:

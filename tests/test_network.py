@@ -173,6 +173,29 @@ class TestValidation:
         ):
             network.run_until_idle()
 
+    def test_infinite_capacity_named(self):
+        # inf passed the positivity check; the debit inf - inf then gave
+        # "b" a NaN rate and a completion event at a NaN time.
+        inf = float("inf")
+        engine, network = make({"x": inf, "z": inf})
+        network.inject(Flow("a", ("x", "z"), 4.0))
+        network.inject(Flow("b", ("z",), 4.0))
+        with pytest.raises(
+            ValueError, match=r"link 'x' has infinite capacity inf"
+        ):
+            network.run_until_idle()
+
+    @pytest.mark.parametrize("demand", [None, 1000.0])
+    def test_reused_flow_id_runs_on_its_own_links(self, demand):
+        # Link indices were cached by flow id and never dropped, so a
+        # second flow "f" ran on the first one's link "a". A (slack)
+        # demand cap sends the settle down the whole-population path.
+        engine, network = make({"a": 1.0, "b": 100.0})
+        network.inject(Flow("f", ("a",), 100.0, demand))
+        assert network.run_until_idle() == 100.0
+        network.inject(Flow("f", ("b",), 100.0, demand))
+        assert network.run_until_idle() == 101.0
+
     def test_rejected_flow_leaves_no_trace(self):
         # A flow is validated before it touches any state.
         engine, network = make()
