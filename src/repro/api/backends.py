@@ -34,6 +34,7 @@ from ..core.wafer import LightpathWafer
 from ..failures.blast_radius import compare_policies, improvement_factor
 from ..failures.inject import FleetFailureModel
 from ..failures.recovery import ElectricalRecoveryAnalysis, RackMigrationPolicy
+from ..fleet.process import RenewalDraws
 from ..fleet.simulator import YEAR_S, FleetConfig, FleetStats, simulate_fleet
 from ..tenancy.simulator import TenancyConfig, TenancyStats, simulate_tenancy
 from ..obs.metrics import MetricsRegistry
@@ -440,7 +441,9 @@ class _TorusBackendBase:
         Both runs share the seeded renewal process and dispatch policy,
         so the availability gap isolates the repair mechanism: rack
         migration with a concurrency budget versus spare splicing with a
-        per-rack inventory.
+        per-rack inventory. They read the process's values from one
+        :class:`~repro.fleet.process.RenewalDraws`, so the second run
+        draws only what the first did not.
         """
         plan = spec.fleet
         if plan.days <= 0:
@@ -455,6 +458,7 @@ class _TorusBackendBase:
             spare_replenish_s=plan.spare_replenish_s,
             series_points=plan.series_points,
         )
+        draws = RenewalDraws(config.chips, config.mtbf_s, config.seed)
 
         def run(fabric: str) -> FleetPolicyReport:
             stats: FleetStats = simulate_fleet(
@@ -464,6 +468,7 @@ class _TorusBackendBase:
                 lazy_threshold=plan.lazy_threshold,
                 batch_interval_s=plan.batch_interval_s,
                 log=session.log,
+                draws=draws,
             )
             return FleetPolicyReport(
                 fabric=stats.fabric,

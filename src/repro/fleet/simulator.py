@@ -24,10 +24,11 @@ integrated separately — and every number in the resulting
 :class:`FleetStats` derives from simulation state, never wall clock, so
 runs are deterministic per seed and golden-testable.
 
-Each in-service chip's next failure time sits in a per-rack array, and
-the engine holds one event per rack, at that rack's earliest entry: a
-rack migration clears 63 entries and re-arms one event instead of
-cancelling 63.
+Chip state and each in-service chip's next failure time sit in
+``(racks, chips_per_rack)`` arrays, and the engine holds one event per
+rack, at that rack's earliest entry: a rack migration suspends its 63
+healthy chips with one masked array operation, restores them with one
+vector draw, and re-arms one event instead of cancelling 63.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..failures.recovery import RackMigrationPolicy
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import nearest_rank
@@ -43,7 +46,7 @@ from ..phy.constants import CHIPS_PER_SERVER, RACKS_PER_CLUSTER, RECONFIG_LATENC
 from ..sim.engine import Event, EventEngine, SimulationError
 from ..sim.scaffold import FABRICS, StepSeries, require_finite, run_horizon
 from .policies import RepairPolicy, make_policy
-from .process import RenewalFailureProcess
+from .process import RenewalDraws, RenewalFailureProcess
 
 __all__ = [
     "FleetConfig",
@@ -160,6 +163,10 @@ class FleetStats:
         ttr_p50_s / ttr_p90_s / ttr_p99_s / ttr_max_s: time-to-repair
             percentiles (failure to capacity restored), nearest-rank.
         series: ``(start_s, end_s, mean_available_chips)`` buckets.
+
+    Raises:
+        ValueError: when the counts or integrals contradict each other
+            (a bookkeeping fault in the simulator that built them).
     """
 
     fabric: str
@@ -182,13 +189,43 @@ class FleetStats:
     ttr_max_s: float
     series: tuple[tuple[float, float, float], ...]
 
+    def __post_init__(self) -> None:
+        if self.failures != self.repairs + self.unrepaired:
+            raise ValueError(
+                f"{self.failures} failures != {self.repairs} repairs + "
+                f"{self.unrepaired} unrepaired"
+            )
+        if not 0.0 <= self.mean_availability <= 1.0:
+            raise ValueError(
+                f"mean availability {self.mean_availability} outside [0, 1]"
+            )
+        if not 0.0 <= self.collateral_chip_seconds <= self.lost_chip_seconds:
+            raise ValueError(
+                f"collateral {self.collateral_chip_seconds} chip-seconds "
+                f"outside [0, lost = {self.lost_chip_seconds}]"
+            )
+        for name in ("min_available_chips", "peak_failed_chips"):
+            if not 0 <= getattr(self, name) <= self.chips:
+                raise ValueError(
+                    f"{name} {getattr(self, name)} outside [0, {self.chips}]"
+                )
+
 
 class FleetSimulator:
     """One fabric's failure/repair dynamics over the horizon.
 
+    Chip state and next failure times are ``(racks, chips_per_rack)``
+    arrays: a rack migration suspends and restores its rack with masked
+    array operations and draws the restored chips' renewals in one
+    gather, while a photonic repair, which stalls one server, steps
+    chip by chip.
+
     Build one simulator (and one fresh policy) per run; :meth:`run`
     consumes the instance, and once it returns the instance holds no
-    reference cycle, so dropping it frees the run.
+    reference cycle, so dropping it frees the run. Runs that pass the
+    same ``draws`` (a :class:`RenewalDraws` for the config's chips, MTBF
+    and seed) read the same renewal values without drawing them again;
+    the stats are the same with or without it.
     """
 
     def __init__(
@@ -197,6 +234,7 @@ class FleetSimulator:
         fabric: str,
         policy: RepairPolicy | None = None,
         log: EventLog | None = None,
+        draws: RenewalDraws | None = None,
     ):
         if fabric not in FABRICS:
             raise ValueError(f"unknown fabric {fabric!r}; choose from {FABRICS}")
@@ -206,15 +244,14 @@ class FleetSimulator:
         self.log = log if log is not None else NULL_LOG
         self._engine = EventEngine()
         self._process = RenewalFailureProcess(
-            chips=config.chips, mtbf_s=config.mtbf_s, seed=config.seed
+            chips=config.chips, mtbf_s=config.mtbf_s, seed=config.seed, draws=draws
         )
-        self._state = [_OPERATIONAL] * config.chips
-        # Next failure time of each chip, per rack: ``inf`` while the
-        # chip is out of service or outlives the horizon. The engine
-        # holds one event per rack, at its earliest entry.
-        self._fail_at = [
-            [math.inf] * config.chips_per_rack for _ in range(config.racks)
-        ]
+        shape = (config.racks, config.chips_per_rack)
+        self._state = np.full(shape, _OPERATIONAL, dtype=np.int8)
+        # Next failure time of each chip: ``inf`` while the chip is out
+        # of service or outlives the horizon. The engine holds one event
+        # per rack, at its row's minimum.
+        self._fail_at = np.full(shape, math.inf)
         self._rack_events: list[Event | None] = [None] * config.racks
         self._fail_times: dict[int, float] = {}
         # Occupancy accounting: failed chips and blast collateral are
@@ -268,22 +305,25 @@ class FleetSimulator:
 
     # -- failure renewal ----------------------------------------------------------
 
-    def _draw_failure(self, chip: int) -> None:
-        """Set an in-service chip's next failure time from its renewal
-        stream (the caller re-arms the rack)."""
-        t = self._engine.now_s + self._process.next_delay_s(chip)
-        rack, slot = divmod(chip, self.config.chips_per_rack)
-        self._fail_at[rack][slot] = t if t <= self.config.horizon_s else math.inf
+    def _renew(self, rack: int, slots: np.ndarray) -> None:
+        """Return ``slots`` of ``rack`` to service with fresh failure
+        draws (the caller re-arms the rack)."""
+        base = rack * self.config.chips_per_rack
+        t = self._engine.now_s + self._process.next_delays_s(slots + base)
+        self._state[rack, slots] = _OPERATIONAL
+        self._fail_at[rack, slots] = np.where(t <= self.config.horizon_s, t, math.inf)
 
-    def _clear_failure(self, chip: int) -> None:
-        """Drop the pending failure of a chip leaving service (the
-        caller re-arms the rack)."""
-        rack, slot = divmod(chip, self.config.chips_per_rack)
-        self._fail_at[rack][slot] = math.inf
+    def _renew_chip(self, rack: int, slot: int) -> None:
+        """:meth:`_renew` for one chip, with scalar operations."""
+        chip = rack * self.config.chips_per_rack + slot
+        t = self._engine.now_s + self._process.next_delay_s(chip)
+        self._state[rack, slot] = _OPERATIONAL
+        self._fail_at[rack, slot] = t if t <= self.config.horizon_s else math.inf
 
     def _arm(self, rack: int) -> None:
         """Point the rack's engine event at its earliest failure time."""
-        t = min(self._fail_at[rack])
+        row = self._fail_at[rack]
+        t = row.item(row.argmin())
         event = self._rack_events[rack]
         if event is not None:
             if event.time_s == t:
@@ -297,42 +337,32 @@ class FleetSimulator:
 
     def _on_rack_failure(self, rack: int) -> None:
         self._rack_events[rack] = None
-        slot = self._fail_at[rack].index(self._engine.now_s)
-        self._on_failure(rack * self.config.chips_per_rack + slot)
-
-    def _on_failure(self, chip: int) -> None:
-        self._clear_failure(chip)
+        # The event sits at the row minimum: its first slot is the chip
+        # whose failure is due.
+        slot = int(self._fail_at[rack].argmin())
+        self._fail_at[rack, slot] = math.inf
         self._account()
-        self._state[chip] = _FAILED
+        self._state[rack, slot] = _FAILED
         self._down_failed += 1
         self._failures += 1
+        chip = rack * self.config.chips_per_rack + slot
         self._fail_times[chip] = self._engine.now_s
         if self._down_failed > self._peak_failed:
             self._peak_failed = self._down_failed
         self._record()
         self.policy.on_failure(chip, self._dispatch)
-        self._arm(chip // self.config.chips_per_rack)
-
-    def _suspend(self, chip: int) -> None:
-        """Take a healthy chip out as blast-radius collateral."""
-        self._clear_failure(chip)
-        self._state[chip] = _SUSPENDED
-        self._down_collateral += 1
-
-    def _restore(self, chip: int) -> None:
-        """Return a chip to service with a fresh failure draw."""
-        self._state[chip] = _OPERATIONAL
-        self._draw_failure(chip)
+        self._arm(rack)
 
     def _repair_done(self, chip: int) -> None:
+        """Count a failed chip's repair (the caller returns it to
+        service)."""
         self._down_failed -= 1
         self._repairs += 1
         self._ttrs.append(self._engine.now_s - self._fail_times.pop(chip))
-        self._restore(chip)
 
     def _dispatch(self, chip: int) -> None:
         """Hand a failed chip's repair to the fabric's executor."""
-        if self._state[chip] != _FAILED:
+        if self._state.item(chip) != _FAILED:
             return  # an earlier repair of its rack already fixed it
         rack = chip // self.config.chips_per_rack
         if self.fabric == "photonic":
@@ -348,10 +378,6 @@ class FleetSimulator:
 
     # -- electrical executor: budgeted rack migrations ----------------------------
 
-    def _rack_chips(self, rack: int) -> range:
-        base = rack * self.config.chips_per_rack
-        return range(base, base + self.config.chips_per_rack)
-
     def _start_migrations(self) -> None:
         cfg = self.config
         while (
@@ -361,9 +387,12 @@ class FleetSimulator:
             rack = self._migration_queue.popleft()
             self._active_migrations += 1
             self._account()
-            for c in self._rack_chips(rack):
-                if self._state[c] == _OPERATIONAL:
-                    self._suspend(c)
+            # Every operational chip of the rack goes down as collateral.
+            state = self._state[rack]
+            healthy = state == _OPERATIONAL
+            state[healthy] = _SUSPENDED
+            self._fail_at[rack, healthy] = math.inf
+            self._down_collateral += int(np.count_nonzero(healthy))
             self._arm(rack)
             self._record()
             self._engine.schedule_after(
@@ -372,12 +401,14 @@ class FleetSimulator:
 
     def _complete_migration(self, rack: int) -> None:
         self._account()
-        for c in self._rack_chips(rack):
-            if self._state[c] == _SUSPENDED:
-                self._down_collateral -= 1
-                self._restore(c)
-            elif self._state[c] == _FAILED:
-                self._repair_done(c)
+        state = self._state[rack]
+        down = (state != _OPERATIONAL).nonzero()[0]
+        failed = (state == _FAILED).nonzero()[0]
+        self._down_collateral -= down.size - failed.size
+        base = rack * self.config.chips_per_rack
+        for slot in failed.tolist():
+            self._repair_done(base + slot)
+        self._renew(rack, down)
         self._arm(rack)
         self._rack_busy[rack] = False
         self._active_migrations -= 1
@@ -386,50 +417,50 @@ class FleetSimulator:
 
     # -- photonic executor: spare-bounded circuit repairs -------------------------
 
-    def _server_chips(self, chip: int) -> range:
-        cfg = self.config
-        base = (chip // cfg.chips_per_rack) * cfg.chips_per_rack
-        server = (chip - base) // cfg.chips_per_server
-        start = base + server * cfg.chips_per_server
-        return range(
-            start, min(start + cfg.chips_per_server, base + cfg.chips_per_rack)
-        )
-
     def _start_photonic_repair(self, chip: int) -> None:
-        rack = chip // self.config.chips_per_rack
+        cfg = self.config
+        rack, slot = divmod(chip, cfg.chips_per_rack)
         self._spares[rack] -= 1
         self._account()
+        state = self._state[rack]
+        fail_at = self._fail_at[rack]
+        first = slot - slot % cfg.chips_per_server
         stalled = []
-        for peer in self._server_chips(chip):
-            if peer != chip and self._state[peer] == _OPERATIONAL:
-                self._suspend(peer)
+        for peer in range(first, min(first + cfg.chips_per_server, cfg.chips_per_rack)):
+            if peer != slot and state.item(peer) == _OPERATIONAL:
+                state[peer] = _SUSPENDED
+                fail_at[peer] = math.inf
                 stalled.append(peer)
+        self._down_collateral += len(stalled)
         self._arm(rack)
         self._record()
         self._engine.schedule_after(
-            self.config.circuit_setup_s,
-            lambda: self._finish_photonic_repair(chip, stalled),
+            cfg.circuit_setup_s,
+            lambda: self._finish_photonic_repair(rack, slot, stalled),
         )
 
-    def _finish_photonic_repair(self, chip: int, stalled: list[int]) -> None:
+    def _finish_photonic_repair(
+        self, rack: int, slot: int, stalled: list[int]
+    ) -> None:
         self._account()
-        self._repair_done(chip)
+        self._repair_done(rack * self.config.chips_per_rack + slot)
+        self._renew_chip(rack, slot)
+        state = self._state[rack]
         for peer in stalled:
-            if self._state[peer] == _SUSPENDED:
+            if state.item(peer) == _SUSPENDED:
                 self._down_collateral -= 1
-                self._restore(peer)
-        rack = chip // self.config.chips_per_rack
+                self._renew_chip(rack, peer)
         self._arm(rack)
         self._record()
         self._engine.schedule_after(
-            self.config.spare_replenish_s, lambda rack=rack: self._replenish(rack)
+            self.config.spare_replenish_s, lambda: self._replenish(rack)
         )
 
     def _replenish(self, rack: int) -> None:
         self._spares[rack] += 1
         while self._spare_wait[rack] and self._spares[rack] > 0:
             chip = self._spare_wait[rack].popleft()
-            if self._state[chip] == _FAILED:
+            if self._state.item(chip) == _FAILED:
                 self._start_photonic_repair(chip)
 
     # -- run ---------------------------------------------------------------------
@@ -446,9 +477,9 @@ class FleetSimulator:
         self._ran = True
         cfg = self.config
         self.policy.start(self._engine, self._dispatch)
-        for chip in range(cfg.chips):
-            self._draw_failure(chip)
+        every = np.arange(cfg.chips_per_rack)
         for rack in range(cfg.racks):
+            self._renew(rack, every)
             self._arm(rack)
         run_horizon(self._engine, cfg.horizon_s, self._heartbeat)
         self._account()
@@ -486,12 +517,15 @@ def simulate_fleet(
     lazy_threshold: int = 4,
     batch_interval_s: float = 21600.0,
     log: EventLog | None = None,
+    draws: RenewalDraws | None = None,
 ) -> FleetStats:
     """Run one fabric's fleet simulation with a fresh policy instance.
 
     ``log`` (when given and at ``info`` or lower) receives a
-    ``fleet.progress`` heartbeat at each tenth of the horizon; the
-    returned stats are byte-identical either way.
+    ``fleet.progress`` heartbeat at each tenth of the horizon; ``draws``
+    lends the run renewal values another run drew (see
+    :class:`FleetSimulator`). The returned stats are byte-identical
+    either way.
     """
     return FleetSimulator(
         config,
@@ -502,4 +536,5 @@ def simulate_fleet(
             batch_interval_s=batch_interval_s,
         ),
         log=log,
+        draws=draws,
     ).run()

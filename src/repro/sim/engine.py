@@ -156,14 +156,29 @@ class EventEngine:
     def run(self, until_s: float | None = None) -> float:
         """Run events (optionally only those at or before ``until_s``).
 
+        Each event is :meth:`step`'s work with the next event time asked
+        once: the runaway bound is checked before the pop, as there.
+
         Returns:
             The simulation time after the run.
+
+        Raises:
+            SimulationError: when running the next event would exceed
+                the engine's ``max_events`` bound.
         """
+        queue = self._queue
         while (next_time := self.next_event_time()) is not None:
             if until_s is not None and next_time > until_s:
                 self.now_s = until_s
                 return self.now_s
-            self.step()
+            if self._processed >= self._max_events:
+                raise SimulationError(
+                    f"exceeded {self._max_events} events; runaway simulation?"
+                )
+            event = heapq.heappop(queue)[2]
+            self.now_s = next_time
+            self._processed += 1
+            event.action()
         if until_s is not None:
             self.now_s = max(self.now_s, until_s)
         return self.now_s

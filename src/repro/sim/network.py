@@ -303,7 +303,9 @@ class FlowNetwork:
         with no bytes left complete inline and a starved flow raises, in
         active order, and when any does the event is armed at that flow's
         place in the walk, so its sequence number keeps its order among
-        the completion callbacks the walk schedules.
+        the completion callbacks the walk schedules. A flow completed
+        inline frees its share at once: it marks the network dirty, so
+        the flows solved with it settle again before the next event.
         """
         if self._completion_event is not None:
             self._completion_event.cancel()
@@ -339,6 +341,7 @@ class FlowNetwork:
             flow = record.flow
             if flow.remaining_bytes <= 0:
                 self._complete(flow.flow_id)
+                self._mark_dirty()
             elif flow.rate_bytes_per_s <= 0:
                 cause = (
                     f"its demand cap is {flow.demand_bytes_per_s}"

@@ -106,6 +106,12 @@ class ClusterState:
         self._torus = Torus(self.rack_shape)
         self.racks = [SliceAllocator(self._torus) for _ in range(racks)]
         self.allocations: dict[str, Allocation] = {}
+        # Kept per live allocation, keyed and ordered like
+        # ``allocations``: its chip mask, and the rate at which it
+        # strands chip bandwidth over static wiring and with steering.
+        self._allocation_masks: dict[str, int] = {}
+        self._stranded_electrical: dict[str, float] = {}
+        self._stranded_optical: dict[str, float] = {}
         self._chips = list(self._torus.nodes())
         self._bits = {chip: 1 << i for i, chip in enumerate(self._chips)}
         self._masks = [0] * racks
@@ -116,6 +122,9 @@ class ClusterState:
         # Per shape: its volume and every (offset, box mask) candidate,
         # offsets in lexicographic order.
         self._boxes: dict[tuple[int, ...], tuple[int, list[tuple[Coordinate, int]]]] = {}
+        # Per box shape: its (electrical, optical) utilization, which
+        # the slice geometry fixes whatever the offset.
+        self._utilization: dict[tuple[int, ...], tuple[float, float]] = {}
 
     # -- capacity ----------------------------------------------------------------
 
@@ -152,6 +161,14 @@ class ClusterState:
         for chip in chips:
             mask |= bits[chip]
         return mask
+
+    def allocation_mask(self, name: str) -> int:
+        """Bitmask of the chips the live placement ``name`` holds.
+
+        Raises:
+            KeyError: if no such placement is live.
+        """
+        return self._allocation_masks[name]
 
     # -- placement ---------------------------------------------------------------
 
@@ -302,6 +319,7 @@ class ClusterState:
             circuits=allocation.circuits + needed,
         )
         self.allocations[name] = upgraded
+        self._stranded_optical[name] = needed * (1.0 - upgraded.optical_utilization)
         return upgraded
 
     def _register(
@@ -313,19 +331,29 @@ class ClusterState:
         placed: Slice | None,
     ) -> None:
         contiguous = placed is not None
-        if len(chips) == 1:
+        count = len(chips)
+        if count == 1:
             electrical = optical = 1.0
         elif contiguous:
-            electrical = placed.electrical_utilization()
-            optical = placed.optical_utilization()
+            utilization = self._utilization.get(placed.shape)
+            if utilization is None:
+                utilization = self._utilization[placed.shape] = (
+                    placed.electrical_utilization(),
+                    placed.optical_utilization(),
+                )
+            electrical, optical = utilization
         else:
             # Steered rings are congestion-free by construction; static
             # wiring cannot realize them at all.
             electrical, optical = 0.0, 1.0
-        circuits = 0 if contiguous else len(chips)
-        self._masks[rack] |= self.chip_mask(chips)
-        self._free[rack] -= len(chips)
+        circuits = 0 if contiguous else count
+        mask = self.chip_mask(chips)
+        self._masks[rack] |= mask
+        self._free[rack] -= count
         self._circuits_used[rack] += circuits
+        self._allocation_masks[name] = mask
+        self._stranded_electrical[name] = count * (1.0 - electrical)
+        self._stranded_optical[name] = count * (1.0 - optical)
         self.allocations[name] = Allocation(
             name=name,
             rack=rack,
@@ -345,13 +373,16 @@ class ClusterState:
             KeyError: if no such placement is live.
         """
         allocation = self.allocations.pop(name)
+        mask = self._allocation_masks.pop(name)
+        del self._stranded_electrical[name]
+        del self._stranded_optical[name]
         allocator = self.racks[allocation.rack]
         if allocation.contiguous:
             allocator.release(name)
         else:
             for k in range(allocation.chip_count):
                 allocator.release(f"{name}@{k}")
-        self._masks[allocation.rack] &= ~self.chip_mask(allocation.chips)
+        self._masks[allocation.rack] &= ~mask
         self._free[allocation.rack] += allocation.chip_count
         self._circuits_used[allocation.rack] -= allocation.circuits
         return allocation
@@ -386,16 +417,14 @@ class ClusterState:
 
     def stranded_fraction_rate(self, fabric: str) -> float:
         """Sum over live allocations of ``chips * (1 - utilization)`` —
-        the instantaneous rate at which chip-bandwidth-seconds strand."""
+        the instantaneous rate at which chip-bandwidth-seconds strand.
+
+        Each allocation's term is kept since its placement, and the terms
+        are summed in allocation order, so the sum adds the same floats
+        in the same order as a sum over the allocation records."""
         if fabric == "electrical":
-            return sum(
-                a.chip_count * (1.0 - a.electrical_utilization)
-                for a in self.allocations.values()
-            )
-        return sum(
-            a.chip_count * (1.0 - a.optical_utilization)
-            for a in self.allocations.values()
-        )
+            return sum(self._stranded_electrical.values())
+        return sum(self._stranded_optical.values())
 
     # -- invariants ----------------------------------------------------------------
 

@@ -193,7 +193,7 @@ class DefragOnDeparturePolicy(FirstFitPolicy):
         # found is exactly the post-release first fit, so non-candidates
         # cost no release/restore churn.
         offset = cluster.find_offset(
-            rack, allocation.shape, ignore=cluster.chip_mask(allocation.chips)
+            rack, allocation.shape, ignore=cluster.allocation_mask(name)
         )
         if offset is None:
             return None

@@ -159,6 +159,11 @@ class TenancyStats:
         series: ``(start_s, end_s, mean_occupied_chips,
             largest_allocatable_chips, free_chips)`` buckets; the last
             two sample fragmentation at each bucket's end.
+
+    Raises:
+        ValueError: when the job counts do not add up or a fraction
+            leaves ``[0, 1]`` (a bookkeeping fault in the simulator that
+            built them).
     """
 
     fabric: str
@@ -188,6 +193,21 @@ class TenancyStats:
     stranded_fraction: float
     circuits_peak: int
     series: tuple[tuple[float, float, float, int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.arrivals != self.placed + self.rejected + self.queued_at_horizon:
+            raise ValueError(
+                f"{self.arrivals} arrivals != {self.placed} placed + "
+                f"{self.rejected} rejected + {self.queued_at_horizon} queued"
+            )
+        if self.placed != self.completed + self.running_at_horizon:
+            raise ValueError(
+                f"{self.placed} placed != {self.completed} completed + "
+                f"{self.running_at_horizon} running"
+            )
+        for name in ("mean_occupancy", "stranded_fraction", "rejection_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} {getattr(self, name)} outside [0, 1]")
 
 
 class TenancySimulator:

@@ -96,12 +96,9 @@ class Slice:
     # -- membership ----------------------------------------------------------
 
     def chips(self) -> list[Coordinate]:
-        """All chip coordinates of the slice (with wrap-around placement)."""
-        axes = [
-            [(off + i) % rack_ext for i in range(ext)]
-            for off, ext, rack_ext in zip(self.offset, self.shape, self.rack.shape)
-        ]
-        return [tuple(c) for c in itertools.product(*axes)]
+        """All chip coordinates of the slice (with wrap-around placement),
+        as a fresh list; the coordinates are memoized per geometry."""
+        return list(_chips_for_geometry(self.rack.shape, self.offset, self.shape))
 
     def contains(self, chip: Coordinate) -> bool:
         """Whether ``chip`` belongs to the slice."""
@@ -253,6 +250,21 @@ class Slice:
         any slice that has at least one usable ring.
         """
         return 1.0 if self.usable_dimensions() else 0.0
+
+
+@lru_cache(maxsize=4096)
+def _chips_for_geometry(
+    rack_shape: tuple[int, ...],
+    offset: Coordinate,
+    shape: tuple[int, ...],
+) -> tuple[Coordinate, ...]:
+    """Memoized chip coordinates of a slice geometry, in
+    ``itertools.product`` order over the wrapped axes."""
+    axes = [
+        [(off + i) % rack_ext for i in range(ext)]
+        for off, ext, rack_ext in zip(offset, shape, rack_shape)
+    ]
+    return tuple(itertools.product(*axes))
 
 
 @lru_cache(maxsize=4096)

@@ -11,9 +11,10 @@ telemetry timelines of the two pairs must agree exactly.
 :class:`WholeSolveFlowNetwork` and :class:`WholeSolveInstrumentedNetwork`
 settle the way the networks did before they re-solved only touched
 components: every settle re-solves the whole active population, cancels
-every completion event and arms one per flow. Their record timelines,
-telemetry samples and processed-event counts must equal the production
-networks'.
+every completion event and arms one per flow. Like the production
+networks, they settle again when flows with no bytes left complete
+inside a settle. Their record timelines, telemetry samples and
+processed-event counts must equal the production networks'.
 
 :class:`EagerFlowNetwork` and :class:`EagerInstrumentedNetwork` are the
 whole-solve networks recomputing at every injection and completion
@@ -90,10 +91,12 @@ class WholeSolveFlowNetwork(FlowNetwork):
                 ts_s=self.engine.now_s,
                 args={"active_flows": len(flows)},
             )
+        completed = False
         for record in list(self._active.values()):
             flow = record.flow
             if flow.remaining_bytes <= 0:
                 self._complete(flow.flow_id)
+                completed = True
                 continue
             if flow.rate_bytes_per_s <= 0:
                 cause = (
@@ -109,6 +112,9 @@ class WholeSolveFlowNetwork(FlowNetwork):
             self._completion_events[flow_id] = self.engine.schedule_after(
                 eta, lambda fid=flow_id: self._on_complete(fid)
             )
+        if completed:
+            # The flows completed inline free their shares for the rest.
+            self._mark_dirty()
 
     def _complete(self, flow_id: Hashable) -> None:
         event = self._completion_events.pop(flow_id, None)

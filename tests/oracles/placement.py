@@ -3,7 +3,8 @@
 The straightforward form of
 :meth:`repro.tenancy.cluster.ClusterState.find_offset`: build every
 candidate box's chip list and test it against the set of taken chips,
-read from the rack's allocator.
+read from the rack's allocator. Also the stranding rate summed over the
+live allocations' records, which the cluster keeps per allocation.
 """
 
 from __future__ import annotations
@@ -58,3 +59,16 @@ def scan_find_offset(
         if all(c not in taken for c in box_chips(cluster.rack_shape, offset, shape)):
             return offset
     return None
+
+
+def summed_stranding_rate(cluster: ClusterState, fabric: str) -> float:
+    """``chips * (1 - utilization)`` summed over the live allocations."""
+    if fabric == "electrical":
+        return sum(
+            a.chip_count * (1.0 - a.electrical_utilization)
+            for a in cluster.allocations.values()
+        )
+    return sum(
+        a.chip_count * (1.0 - a.optical_utilization)
+        for a in cluster.allocations.values()
+    )

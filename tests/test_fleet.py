@@ -1,10 +1,12 @@
 """Tests for repro.fleet: renewal process, policies, simulator, API."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     FleetPlan,
@@ -26,6 +28,7 @@ from repro.fleet import (
     make_policy,
     simulate_fleet,
 )
+from repro.fleet.process import RenewalDraws
 from repro.sim.engine import EventEngine, SimulationError
 from tests.oracles.fleet import PerChipEventFleetSimulator
 
@@ -65,6 +68,69 @@ class TestRenewalProcess:
             stream = np.random.default_rng((2, chip))
             expected = [float(stream.exponential(1e5)) for _ in range(150)]
             assert [process.next_delay_s(chip) for _ in range(150)] == expected
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rounds=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=240,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vector_draws_equal_scalar_draws(self, seed, rounds):
+        # Each round draws for a random chip subset, as one vector or
+        # chip by chip; every chip must read its own scalar stream in
+        # order, across block edges.
+        process = RenewalFailureProcess(4, mtbf_s=1e5, seed=seed)
+        streams = [np.random.default_rng((seed, chip)) for chip in range(4)]
+        for chips, vector in rounds:
+            expected = [float(streams[c].exponential(1e5)) for c in chips]
+            if vector:
+                got = process.next_delays_s(np.array(chips)).tolist()
+            else:
+                got = [process.next_delay_s(c) for c in chips]
+            assert got == expected
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        reads=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(1, 150)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_draws_read_the_same_values(self, seed, reads):
+        # Three processes share one source and take turns reading runs
+        # of a chip's values, so one asks for blocks another has read
+        # past (or has just read); each still reads its own copy of
+        # every stream from the start.
+        draws = RenewalDraws(2, mtbf_s=1e5, seed=seed)
+        processes = [
+            RenewalFailureProcess(2, mtbf_s=1e5, seed=seed, draws=draws)
+            for _ in range(3)
+        ]
+        streams = [
+            [np.random.default_rng((seed, chip)) for chip in range(2)]
+            for _ in range(3)
+        ]
+        for who, chip, count in reads:
+            expected = [
+                float(streams[who][chip].exponential(1e5)) for _ in range(count)
+            ]
+            got = [processes[who].next_delay_s(chip) for _ in range(count)]
+            assert got == expected
+
+    def test_draws_must_match_the_process(self):
+        draws = RenewalDraws(2, mtbf_s=1e5, seed=5)
+        with pytest.raises(ValueError):
+            RenewalFailureProcess(2, mtbf_s=1e5, seed=6, draws=draws)
+        with pytest.raises(ValueError):
+            RenewalFailureProcess(3, mtbf_s=1e5, seed=5, draws=draws)
 
 
 class TestPolicies:
@@ -239,6 +305,49 @@ class TestSimulator:
         b = simulate_fleet(DENSE, "electrical")
         assert a.events_processed == b.events_processed > 0
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ("electrical", "photonic"),
+            ("photonic", "electrical"),
+            ("electrical", "electrical"),
+        ],
+    )
+    def test_shared_draws_leave_stats_unchanged(self, order):
+        draws = RenewalDraws(DENSE.chips, DENSE.mtbf_s, DENSE.seed)
+        for fabric in order:
+            shared = simulate_fleet(DENSE, fabric, policy="lazy", draws=draws)
+            assert shared == simulate_fleet(DENSE, fabric, policy="lazy")
+
+
+class TestStatsInvariants:
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return simulate_fleet(DENSE, "electrical")
+
+    def test_simulated_stats_hold(self, stats):
+        assert stats.repairs > 0
+        assert replace(stats) == stats
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: {"failures": s.failures + 1},
+            lambda s: {"unrepaired": s.unrepaired + 1},
+            lambda s: {"mean_availability": 1.5},
+            lambda s: {"mean_availability": -0.1},
+            lambda s: {"collateral_chip_seconds": -1.0},
+            lambda s: {"collateral_chip_seconds": s.lost_chip_seconds * 2},
+            lambda s: {"min_available_chips": s.chips + 1},
+            lambda s: {"min_available_chips": -1},
+            lambda s: {"peak_failed_chips": s.chips + 1},
+            lambda s: {"peak_failed_chips": -1},
+        ],
+    )
+    def test_violations_rejected(self, stats, change):
+        with pytest.raises(ValueError):
+            replace(stats, **change(stats))
+
 
 # Contended: one migration slot and one spare per rack, so racks wait in
 # the migration queue while their chips keep failing.
@@ -262,6 +371,28 @@ class TestPerRackScheduling:
         ).run()
         stats = FleetSimulator(config, fabric, make_policy(policy)).run()
         assert stats == expected
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_chip_events_on_untiled_servers(self, seed, policy, fabric):
+        # 3-chip servers leave a 1-chip server at the end of each
+        # 10-chip rack.
+        config = replace(
+            CONTENDED,
+            racks=3,
+            chips_per_rack=10,
+            chips_per_server=3,
+            mtbf_s=0.02 * YEAR_S,
+            spare_replenish_s=6 * 3600.0,
+            seed=seed,
+        )
+        expected = PerChipEventFleetSimulator(
+            config, fabric, make_policy(policy)
+        ).run()
+        stats = FleetSimulator(config, fabric, make_policy(policy)).run()
+        assert stats == expected
+        assert stats.failures > 100
 
 
 class TestFleetPlanSpec:
@@ -328,6 +459,43 @@ class TestFleetOutput:
             data["photonic"]["mean_availability"]
             - data["electrical"]["mean_availability"]
         )
+
+    def test_shared_draws_equal_standalone_runs(self):
+        # Both fabric runs of one report read one renewal draw source;
+        # the failure rate and the spares take every chip's stream past
+        # its first block on both fabrics.
+        plan = FleetPlan(
+            days=60.0,
+            seed=4,
+            racks=2,
+            mtbf_years=0.005,
+            spare_inventory=64,
+            spare_replenish_s=600.0,
+        )
+        report = run(
+            ScenarioSpec(fabric="photonic", outputs=("fleet",), fleet=plan)
+        ).fleet
+        config = FleetConfig(
+            racks=plan.racks,
+            horizon_s=plan.days * 24 * 3600.0,
+            mtbf_s=plan.mtbf_years * YEAR_S,
+            seed=plan.seed,
+            max_concurrent_migrations=plan.max_concurrent_migrations,
+            spare_inventory=plan.spare_inventory,
+            spare_replenish_s=plan.spare_replenish_s,
+            series_points=plan.series_points,
+        )
+        for section in (report.electrical, report.photonic):
+            stats = simulate_fleet(config, section.fabric, policy=plan.policy)
+            assert stats.failures > 20 * config.chips
+            for field in fields(section):
+                value = getattr(section, field.name)
+                if field.name == "series":
+                    value = tuple(
+                        (p.start_s, p.end_s, p.mean_available_chips)
+                        for p in value
+                    )
+                assert value == getattr(stats, field.name), field.name
 
     def test_zero_days_refused(self):
         with pytest.raises(UnsupportedOutput):

@@ -709,10 +709,10 @@ class TestNetworkIdentity:
         assert ref.telemetry.idle_links() == vec.telemetry.idle_links()
 
     # A flow with no bytes takes a share in its instant's solve and
-    # completes in it, and the flows solved with it keep that rate until
-    # the next change; an eager network solves at each injection, so the
-    # two differ once a zero-byte flow shares an instant with another.
-    @given(flow_schedules(zero_byte_flows=False))
+    # completes in it; the network settles again, so the flows solved
+    # with it get its share back at that instant, as an eager network
+    # re-solving at each change gives them.
+    @given(flow_schedules())
     @settings(max_examples=150, deadline=None)
     def test_settled_records_equal_eager(self, schedule):
         eager = _run_flow_schedule(CountingEagerFlowNetwork, schedule)
@@ -720,7 +720,7 @@ class TestNetworkIdentity:
         assert _timeline(eager) == _timeline(settled)  # exact floats
         assert settled.rate_computations <= eager.rate_computations
 
-    @given(flow_schedules(zero_byte_flows=False))
+    @given(flow_schedules())
     @settings(max_examples=100, deadline=None)
     def test_settled_telemetry_equals_eager(self, schedule):
         eager = _run_flow_schedule(CountingEagerInstrumentedNetwork, schedule)
@@ -886,8 +886,10 @@ class TestComponentSettle:
 
     def test_armed_event_keeps_its_place_among_callbacks(self):
         # y's sliver finishes "now" (1.0 + 2e-300 == 1.0) and y precedes
-        # x, which completes inline: y's event was scheduled before x's
-        # callback, so y is gone by the time the callback runs.
+        # x, which completes inline and frees its share: the network
+        # settles again and re-arms y's event, whose place is then after
+        # x's callback on both networks, so y is still active when the
+        # callback runs.
         for cls in (FlowNetwork, WholeSolveFlowNetwork):
             engine = EventEngine()
             network = cls(engine, {"a": 1.0})
@@ -902,7 +904,7 @@ class TestComponentSettle:
 
             engine.schedule_at(1.0, inject_both)
             engine.run()
-            assert seen == [0]
+            assert seen == [1]
             assert [r.finish_s for r in network.records] == [1.0, 1.0]
 
     def test_one_completion_event_per_network(self):

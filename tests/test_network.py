@@ -130,6 +130,36 @@ class TestCallbacks:
         assert finishes == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
 
 
+class TestInlineCompletion:
+    """A flow that completes inside a settle frees its share at once."""
+
+    def test_zero_byte_flow_frees_its_share(self):
+        # Injected together, the empty flow takes half the link in the
+        # settle that completes it; the other flow must get the whole
+        # link back at that instant, not at its own completion.
+        engine, network = make({"l1": 1.0})
+        network.inject(Flow("empty", ("l1",), 0.0))
+        network.inject(Flow("one", ("l1",), 1.0))
+        assert network.run_until_idle() == 1.0
+        assert [r.finish_s for r in network.records] == [0.0, 1.0]
+
+    def test_flow_debited_to_zero_frees_its_share(self):
+        # A's completion debits B to exactly 0 bytes, so B completes
+        # inside the settle A's completion triggers; C then has L alone.
+        engine, network = make({"X": 1.0, "L": 2.0})
+        network.inject(Flow("A", ("X",), 1.0))
+        network.inject(Flow("B", ("L",), 1.0))
+        network.inject(Flow("C", ("L",), 3.0))
+        assert network.run_until_idle() == 2.0
+        assert [r.finish_s for r in network.records] == [1.0, 1.0, 2.0]
+
+    def test_same_finish_without_the_unrelated_flow(self):
+        engine, network = make({"X": 1.0, "L": 2.0})
+        network.inject(Flow("B", ("L",), 1.0))
+        network.inject(Flow("C", ("L",), 3.0))
+        assert network.run_until_idle() == 2.0
+
+
 class TestValidation:
     def test_duplicate_id_rejected(self):
         engine, network = make()

@@ -43,6 +43,17 @@ class TestGeometry:
         assert set(slc.chips()) == {(3, 0, 0), (0, 0, 0)}
         assert slc.contains((0, 0, 0))
 
+    def test_chips_are_a_fresh_list_per_call(self, rack):
+        # The coordinates are memoized per geometry; a caller's edits to
+        # the list it got must not reach the next caller.
+        slc = make_slice(rack, shape=(2, 2, 1), offset=(3, 3, 0))
+        chips = slc.chips()
+        assert chips == [(3, 3, 0), (3, 0, 0), (0, 3, 0), (0, 0, 0)]
+        chips.clear()
+        again = make_slice(rack, name="t", shape=(2, 2, 1), offset=(3, 3, 0))
+        assert again.chips() == [(3, 3, 0), (3, 0, 0), (0, 3, 0), (0, 0, 0)]
+        assert again.chips() is not again.chips()
+
     def test_shape_validation(self, rack):
         with pytest.raises(ValueError):
             make_slice(rack, shape=(5, 1, 1))

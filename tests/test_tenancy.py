@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,35 @@ class TestSimulator:
         )
         assert quiet.steering is False
         assert quiet.steered_placements == 0
+
+
+class TestStatsInvariants:
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return simulate_tenancy(SHORT, "electrical", policy="defrag")
+
+    def test_simulated_stats_hold(self, stats):
+        assert stats.rejected > 0 and stats.running_at_horizon > 0
+        assert replace(stats) == stats
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: {"arrivals": s.arrivals + 1},
+            lambda s: {"rejected": s.rejected + 1},
+            lambda s: {"queued_at_horizon": s.queued_at_horizon + 1},
+            lambda s: {"completed": s.completed + 1},
+            lambda s: {"running_at_horizon": s.running_at_horizon - 1},
+            lambda s: {"mean_occupancy": 1.5},
+            lambda s: {"mean_occupancy": -0.1},
+            lambda s: {"stranded_fraction": 1.1},
+            lambda s: {"rejection_rate": -0.5},
+            lambda s: {"rejection_rate": 2.0},
+        ],
+    )
+    def test_violations_rejected(self, stats, change):
+        with pytest.raises(ValueError):
+            replace(stats, **change(stats))
 
 
 class TestTenancyPlanSpec:

@@ -35,7 +35,11 @@ from repro.topology import (
     SliceOverlapError,
     WavelengthBudgetError,
 )
-from tests.oracles.placement import scan_find_offset, taken_chips
+from tests.oracles.placement import (
+    scan_find_offset,
+    summed_stranding_rate,
+    taken_chips,
+)
 
 RACKS = 2
 
@@ -120,6 +124,33 @@ class TestClusterConsistency:
             forward.release(name)
         forward.check_consistent()
         assert forward.total_free() == forward.total_chips
+
+
+class TestKeptBookkeeping:
+    @given(operations, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_kept_values_equal_recomputed(self, ops, steer_every):
+        # The masks and stranding terms the cluster keeps must equal
+        # recomputing them, through ring steering and releases.
+        cluster = ClusterState(racks=RACKS, steer_circuits=16)
+        live = _apply(cluster, ops)
+        for i, name in enumerate(live):
+            if steer_every and i % steer_every == 0:
+                cluster.steer_rings(name)
+            for fabric in ("electrical", "photonic"):
+                assert cluster.stranded_fraction_rate(fabric) == (
+                    summed_stranding_rate(cluster, fabric)
+                )
+        for name in live[::2]:
+            cluster.release(name)
+        for name, allocation in cluster.allocations.items():
+            assert cluster.allocation_mask(name) == cluster.chip_mask(
+                allocation.chips
+            )
+        for fabric in ("electrical", "photonic"):
+            assert cluster.stranded_fraction_rate(fabric) == (
+                summed_stranding_rate(cluster, fabric)
+            )
 
 
 class TestDefragMonotonicity:
