@@ -8,7 +8,8 @@ then asserts the full serving contract end to end:
    ``tests/golden/serve_evaluate.json`` — the same bytes the CLI prints.
 2. ``GET /healthz`` and ``GET /metrics`` answer with sane payloads.
 3. SIGTERM while a request is in flight drains it (the request gets its
-   200 and full body) and the process exits 0 reporting a clean drain.
+   200 and full body) and the process exits 0 reporting a clean drain
+   within 10 s, though a silent client holds a connection open.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -19,6 +20,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -112,13 +114,19 @@ def main() -> int:
                     b"}\n"
                 )
 
+            # A connected client that never sends must not hold the drain.
+            idle = socket.create_connection(("127.0.0.1", port), timeout=10)
             worker = threading.Thread(target=inflight)
             worker.start()
             time.sleep(0.05)  # let the request reach the server
             process.send_signal(signal.SIGTERM)
+            try:
+                returncode = process.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                fail("still running 10 s after SIGTERM with an idle client")
             worker.join(timeout=60)
             stderr = process.stderr.read()
-            returncode = process.wait(timeout=60)
+            idle.close()
         finally:
             if process.poll() is None:
                 process.kill()
@@ -131,7 +139,8 @@ def main() -> int:
         fail(f"no clean-drain message; stderr tail: {stderr[-500:]}")
     print(
         f"sigterm: in-flight request answered 200 "
-        f"({drained['bytes']} bytes, complete body), exit 0"
+        f"({drained['bytes']} bytes, complete body), exit 0 within 10 s "
+        f"with an idle client connected"
     )
     print("serve smoke: OK")
     return 0

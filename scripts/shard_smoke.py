@@ -17,8 +17,9 @@ contract:
 4. A request sent with an explicit ``X-Repro-Trace-Id`` gets the id
    echoed back, and ``GET /metrics?format=prometheus`` on the router
    *and* on a worker passes the text-exposition parse check.
-5. SIGTERM drains the router and its workers cleanly (exit 0, clean
-   drain message), every process writes its runtime trace file, and the
+5. SIGTERM drains the router and its workers cleanly (exit 0 within
+   10 s though a silent client holds a connection open, clean drain
+   message), every process writes its runtime trace file, and the
    merged timeline (``repro obs merge``) contains spans from at least
    two processes sharing the request's trace id. The merged trace is
    left at ``$SHARD_SMOKE_TRACE`` (default ``shard-trace.json``) as a
@@ -33,6 +34,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -187,10 +189,16 @@ def main() -> int:
                 f"{len(worker_families)} families)"
             )
 
-            # 5. SIGTERM drains the tier cleanly.
+            # 5. SIGTERM drains the tier cleanly, an idle client and all.
+            idle = socket.create_connection(("127.0.0.1", port), timeout=10)
+            time.sleep(0.05)  # let the router accept it
             process.send_signal(signal.SIGTERM)
+            try:
+                returncode = process.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                fail("still running 10 s after SIGTERM with an idle client")
             stderr = process.stderr.read()
-            returncode = process.wait(timeout=120)
+            idle.close()
         finally:
             if process.poll() is None:
                 process.kill()
@@ -199,7 +207,10 @@ def main() -> int:
             fail(f"router exited {returncode}; stderr tail: {stderr[-800:]}")
         if "drained cleanly" not in stderr:
             fail(f"no clean-drain message; stderr tail: {stderr[-800:]}")
-        print("sigterm: router and workers drained, exit 0")
+        print(
+            "sigterm: router and workers drained, exit 0 within 10 s with "
+            "an idle client connected"
+        )
 
         # Every process left a runtime trace; the merged timeline must
         # show the traced request crossing the router/worker boundary.

@@ -27,19 +27,17 @@ per query. The moving parts:
   and waits for in-flight batches, so SIGTERM never drops an accepted
   request or truncates a response.
 
-The HTTP front end (:class:`ReproServer`) frames this over
-``asyncio.start_server`` — see :mod:`repro.serve.wire` for the framing —
-and serves ``POST /v1/evaluate`` plus ``GET /healthz`` and
+:class:`ReproServer` puts this behind the HTTP front end it shares with
+the shard router (:mod:`repro.serve.http`; :mod:`repro.serve.wire` for
+the framing): ``POST /v1/evaluate`` plus ``GET /healthz`` and
 ``GET /metrics`` backed by a :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
-import signal
-import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,13 +59,9 @@ from ..obs import log as obs_log
 from ..obs import prometheus
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import (
-    NULL_RUNTIME_TRACER,
-    RuntimeTracer,
-    new_trace_id,
-    valid_trace_id,
-)
+from ..obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer
 from . import wire
+from .http import HttpFrontEnd, LoopThread, run_until_signal
 
 __all__ = [
     "DEFAULT_PORT",
@@ -281,6 +275,10 @@ class _Pending:
     trace_start: float = 0.0
 
 
+#: Evaluates one batch on one pooled session (runs in the executor).
+EvaluateBatch = Callable[[FabricSession, Sequence[ScenarioSpec]], list[SpecRun]]
+
+
 def _default_evaluate_batch(
     session: FabricSession, specs: Sequence[ScenarioSpec]
 ) -> list[SpecRun]:
@@ -309,9 +307,7 @@ class EvaluationService:
         self,
         config: ServerConfig,
         metrics: MetricsRegistry | None = None,
-        evaluate_batch: Callable[
-            [FabricSession, Sequence[ScenarioSpec]], list[SpecRun]
-        ] | None = None,
+        evaluate_batch: EvaluateBatch | None = None,
         log: EventLog | None = None,
         runtime: RuntimeTracer | None = None,
     ) -> None:
@@ -653,157 +649,60 @@ def _result_body(row: SpecRun) -> bytes:
     ).encode()
 
 
-class ReproServer:
-    """The HTTP front end over one :class:`EvaluationService`.
+class ReproServer(HttpFrontEnd):
+    """A worker: the HTTP front end over one :class:`EvaluationService`.
 
     Attributes:
         service: the batching core.
-        port: the bound TCP port (after :meth:`start`).
     """
 
     def __init__(
         self,
         config: ServerConfig,
         metrics: MetricsRegistry | None = None,
-        evaluate_batch: Callable[
-            [FabricSession, Sequence[ScenarioSpec]], list[SpecRun]
-        ] | None = None,
+        evaluate_batch: EvaluateBatch | None = None,
         log: EventLog | None = None,
         runtime: RuntimeTracer | None = None,
     ) -> None:
-        self.config = config
+        super().__init__(config, metrics, log, runtime)
         self.service = EvaluationService(
             config,
-            metrics=metrics,
+            metrics=self.metrics,
             evaluate_batch=evaluate_batch,
-            log=log,
-            runtime=runtime,
+            log=self.log,
+            runtime=self.runtime,
         )
-        self._server: asyncio.Server | None = None
-        self._handlers: set[asyncio.Task] = set()
-        self.port: int | None = None
 
-    async def start(self) -> None:
-        """Bind the listener and start the batcher."""
+    async def _open(self) -> None:
+        """Start the batcher."""
         self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
 
-    async def shutdown(self) -> None:
-        """Graceful stop: close the listener, drain, finish responses."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Flush the batcher and wait for its in-flight batches."""
         await self.service.drain()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
 
-    async def serve_until(self, stop: asyncio.Event) -> None:
-        """Run until ``stop`` is set, then shut down gracefully."""
-        await self.start()
-        await stop.wait()
-        await self.shutdown()
+    def health(self) -> dict[str, Any]:
+        return self.service.health()
 
-    # -- connection handling -----------------------------------------------------
+    async def metrics_payload(self) -> dict[str, Any]:
+        return self.service.metrics_payload()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        try:
-            try:
-                request = await wire.read_request(reader)
-            except wire.ProtocolError as exc:
-                writer.write(
-                    wire.error_response(exc.status, "protocol_error", str(exc))
-                )
-                await writer.drain()
-                return
-            if request is None:
-                return
-            writer.write(await self._route(request))
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _route(self, request: wire.Request) -> bytes:
-        route = request.route
-        if route == "/healthz":
-            if request.method != "GET":
-                return self._method_not_allowed("GET")
-            return wire.json_response(200, self.service.health())
-        if route == "/metrics":
-            if request.method != "GET":
-                return self._method_not_allowed("GET")
-            return self._metrics_response(request)
-        if route == "/v1/evaluate":
-            if request.method != "POST":
-                return self._method_not_allowed("POST")
-            return await self._evaluate(request)
-        return wire.error_response(
-            404, "not_found", f"no route for {request.path!r}"
-        )
-
-    def _metrics_response(self, request: wire.Request) -> bytes:
-        fmt = request.query_params().get("format", "json")
-        if fmt == "prometheus":
-            return wire.response_bytes(
-                200,
-                self.service.metrics_prometheus().encode("utf-8"),
-                content_type=prometheus.CONTENT_TYPE,
-            )
-        if fmt != "json":
-            return wire.error_response(
-                400,
-                "bad_format",
-                f"unknown metrics format {fmt!r}; expected 'json' or "
-                f"'prometheus'",
-            )
-        return wire.json_response(200, self.service.metrics_payload())
-
-    @staticmethod
-    def _method_not_allowed(allowed: str) -> bytes:
-        return wire.error_response(
-            405,
-            "method_not_allowed",
-            f"only {allowed} is supported on this route",
-            extra_headers=(("Allow", allowed),),
-        )
+    async def metrics_prometheus(self) -> str:
+        return self.service.metrics_prometheus()
 
     async def _evaluate(self, request: wire.Request) -> bytes:
-        trace_id = request.headers.get(wire.TRACE_HEADER.lower())
-        if trace_id is not None and not valid_trace_id(trace_id):
-            # A hostile header must not inject bytes into traces/logs.
-            trace_id = new_trace_id()
-        runtime = self.service.runtime
-        if trace_id is None and runtime.enabled:
-            trace_id = new_trace_id()
-        trace_headers: tuple[tuple[str, str], ...] = (
-            ((wire.TRACE_HEADER, trace_id),) if trace_id else ()
-        )
-        if not runtime.enabled:
+        trace_id, trace_headers = self._trace(request)
+        if not self.runtime.enabled:
             return await self._evaluate_traced(request, trace_id, trace_headers)
-        with runtime.span("serve.request", "serve", trace_id=trace_id):
+        with self.runtime.span("serve.request", "serve", trace_id=trace_id):
             return await self._evaluate_traced(request, trace_id, trace_headers)
 
     async def _evaluate_traced(
         self,
         request: wire.Request,
         trace_id: str | None,
-        trace_headers: tuple[tuple[str, str], ...],
+        trace_headers: wire.Headers,
     ) -> bytes:
-        log = self.service.log
         try:
             spec, priority = parse_evaluate_request(request)
         except EvaluateRequestError as exc:
@@ -834,17 +733,7 @@ class ReproServer:
                 future, self.config.request_timeout_s
             )
         except asyncio.TimeoutError:
-            self.service.metrics.counter("serve.requests_timed_out").inc()
-            if log.enabled_for(obs_log.WARNING):
-                log.warning(
-                    "request.timeout", deadline_s=self.config.request_timeout_s
-                )
-            return wire.error_response(
-                504,
-                "timeout",
-                f"evaluation exceeded {self.config.request_timeout_s:g} s",
-                extra_headers=trace_headers,
-            )
+            return self._timed_out(self.config.request_timeout_s, trace_headers)
         except UnsupportedOutput as exc:
             return wire.error_response(
                 400, "unsupported_output", str(exc), extra_headers=trace_headers
@@ -857,8 +746,8 @@ class ReproServer:
                 extra_headers=trace_headers,
             )
         except Exception as exc:  # noqa: BLE001 - the envelope must answer
-            if log.enabled_for(obs_log.ERROR):
-                log.error(
+            if self.log.enabled_for(obs_log.ERROR):
+                self.log.error(
                     "request.failed", status=500, code="internal", message=str(exc)
                 )
             return wire.error_response(
@@ -877,11 +766,8 @@ class ReproServer:
         )
 
 
-class ServerThread:
-    """A :class:`ReproServer` on a background thread (tests, benches).
-
-    Runs its own event loop, exposes the bound port once ready, and
-    drains gracefully on :meth:`stop`. Usable as a context manager::
+class ServerThread(LoopThread):
+    """A :class:`ReproServer` on a background thread (tests, benches)::
 
         with ServerThread(ServerConfig(port=0)) as handle:
             client = ServeClient(port=handle.port)
@@ -891,133 +777,37 @@ class ServerThread:
         self,
         config: ServerConfig,
         metrics: MetricsRegistry | None = None,
-        evaluate_batch: Callable[
-            [FabricSession, Sequence[ScenarioSpec]], list[SpecRun]
-        ] | None = None,
+        evaluate_batch: EvaluateBatch | None = None,
         log: EventLog | None = None,
         runtime: RuntimeTracer | None = None,
     ) -> None:
-        self.config = config
-        self.metrics = metrics
-        self.log = log
-        self.runtime = runtime
-        self._evaluate_batch = evaluate_batch
-        self.port: int | None = None
-        self.server: ReproServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve-loop", daemon=True
+        super().__init__(
+            functools.partial(ReproServer, config, metrics, evaluate_batch, log, runtime),
+            name="server",
+            ready_timeout_s=30.0,
         )
 
-    def start(self) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("server thread did not become ready in 30 s")
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        """Request a graceful drain and wait for the loop to finish."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join(timeout=60)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - surfaced in start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.server = ReproServer(
-            self.config,
-            metrics=self.metrics,
-            evaluate_batch=self._evaluate_batch,
-            log=self.log,
-            runtime=self.runtime,
-        )
-        self._stop = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = self.server.port
-        self._ready.set()
-        await self._stop.wait()
-        await self.server.shutdown()
+    @property
+    def server(self) -> ReproServer | None:
+        """The running server (after :meth:`start`)."""
+        return self.front
 
 
 def run_server(config: ServerConfig) -> int:
     """Run the service until SIGTERM/SIGINT; the ``repro serve`` body.
 
-    Narrates its lifecycle through the structured event log on stderr
-    (one JSON object per line). The ``serve.listening`` record carries
-    the bound URL in its payload, so readiness probes that grep stderr
-    for ``http://host:port`` keep working; ``serve.drained`` keeps the
-    ``drained cleanly`` phrase in its ``message`` for the same reason.
-
     Returns:
         0 after a clean drain.
     """
-    name = config.trace_name or "serve"
-    log = EventLog(sys.stderr, level=config.log_level, source=name)
-    runtime = (
-        RuntimeTracer(name) if config.trace_dir is not None
-        else NULL_RUNTIME_TRACER
+    return run_until_signal(
+        lambda log, runtime: ReproServer(config, log=log, runtime=runtime),
+        name=config.trace_name or "serve",
+        log_level=config.log_level,
+        trace_dir=config.trace_dir,
+        title="repro serve",
+        settings=(
+            f"jobs={config.jobs}, max_batch={config.max_batch}, "
+            f"linger={config.linger_ms:g} ms, queue_limit={config.queue_limit}, "
+            f"cache={'off' if config.no_cache else 'on'}"
+        ),
     )
-
-    async def main() -> int:
-        server = ReproServer(config, log=log, runtime=runtime)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        await server.start()
-        url = f"http://{config.host}:{server.port}"
-        log.info(
-            "serve.listening",
-            url=url,
-            message=(
-                f"repro serve listening on {url} "
-                f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-                f"linger={config.linger_ms:g} ms, "
-                f"queue_limit={config.queue_limit}, "
-                f"cache={'off' if config.no_cache else 'on'})"
-            ),
-        )
-        await stop.wait()
-        log.info("serve.draining")
-        await server.shutdown()
-        completed = int(
-            server.service.metrics.counter("serve.requests_completed").value
-        )
-        log.info(
-            "serve.drained",
-            requests_completed=completed,
-            message=(
-                f"repro serve drained cleanly "
-                f"({completed} requests completed)"
-            ),
-        )
-        if runtime.enabled and config.trace_dir is not None:
-            runtime.write(
-                Path(config.trace_dir) / f"{name}-{runtime.pid}.trace.json"
-            )
-        return 0
-
-    return asyncio.run(main())

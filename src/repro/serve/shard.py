@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import functools
 import hashlib
 import json
 import os
@@ -60,13 +61,9 @@ from ..obs import log as obs_log
 from ..obs import prometheus
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import (
-    NULL_RUNTIME_TRACER,
-    RuntimeTracer,
-    new_trace_id,
-    valid_trace_id,
-)
+from ..obs.runtime import RuntimeTracer
 from . import wire
+from .http import HttpFrontEnd, LoopThread, run_until_signal
 from .service import (
     DEFAULT_PORT,
     EvaluateRequestError,
@@ -466,7 +463,7 @@ class SubprocessWorkers:
         method: str,
         path: str,
         body: bytes = b"",
-        headers: tuple[tuple[str, str], ...] = (),
+        headers: wire.Headers = (),
     ) -> tuple[int, dict[str, str], bytes]:
         """One proxied HTTP exchange with worker ``slot``.
 
@@ -493,11 +490,7 @@ class SubprocessWorkers:
             )
             await writer.drain()
             return await wire.read_response(reader)
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            wire.ProtocolError,
-        ) as exc:
+        except (ConnectionError, wire.ProtocolError) as exc:
             raise WorkerUnavailable(
                 f"worker {target.name} died mid-response: {exc}", slot=slot
             ) from exc
@@ -522,16 +515,16 @@ class SubprocessWorkers:
         ]
 
 
-class ShardRouter:
+class ShardRouter(HttpFrontEnd):
     """The HTTP front end that routes, coalesces, and supervises.
 
     Attributes:
-        config: the tier tunables.
-        metrics: the router's own registry (worker registries are
-            aggregated into ``/metrics`` live).
         workers: the worker transport (subprocess-backed by default;
             tests inject an in-process fake).
-        port: the bound TCP port (after :meth:`start`).
+        ring: the consistent-hash ring over the worker slots.
+
+    ``metrics`` is the router's own registry; worker registries are
+    aggregated into ``/metrics`` live.
     """
 
     def __init__(
@@ -542,10 +535,7 @@ class ShardRouter:
         log: EventLog | None = None,
         runtime: RuntimeTracer | None = None,
     ) -> None:
-        self.config = config
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.log = log if log is not None else NULL_LOG
-        self.runtime = runtime if runtime is not None else NULL_RUNTIME_TRACER
+        super().__init__(config, metrics, log, runtime)
         self.workers = (
             workers
             if workers is not None
@@ -558,50 +548,32 @@ class ShardRouter:
         self._inflight: dict[str, asyncio.Task] = {}
         self._active = 0
         self._draining = False
-        self._server: asyncio.Server | None = None
-        self._handlers: set[asyncio.Task] = set()
         self._supervisor: asyncio.Task | None = None
-        self.port: int | None = None
         self.started_at = time.monotonic()
 
     # -- lifecycle ---------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Spawn the workers, then bind the router listener."""
+    async def _open(self) -> None:
+        """Spawn the workers and start supervising them."""
         await self.workers.start()
         self._supervisor = asyncio.get_running_loop().create_task(
             self._supervise(), name="repro-shard-supervisor"
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
 
-    async def shutdown(self) -> None:
-        """Graceful stop: refuse new work, finish in-flight, stop workers."""
+    async def _drain(self) -> None:
+        """Stop supervising, finish the single-flight tasks, stop workers."""
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         if self._supervisor is not None:
             self._supervisor.cancel()
             try:
                 await self._supervisor
             except asyncio.CancelledError:
                 pass
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
         if self._inflight:
             await asyncio.gather(
                 *self._inflight.values(), return_exceptions=True
             )
         await self.workers.stop()
-
-    async def serve_until(self, stop: asyncio.Event) -> None:
-        """Run until ``stop`` is set, then shut down gracefully."""
-        await self.start()
-        await stop.wait()
-        await self.shutdown()
 
     async def _supervise(self) -> None:
         """Respawn dead workers until the router drains."""
@@ -614,90 +586,10 @@ class ShardRouter:
                 if self.log.enabled_for(obs_log.ERROR):
                     self.log.error("worker.respawn_failed", error=str(exc))
 
-    # -- connection handling -----------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        try:
-            try:
-                request = await wire.read_request(reader)
-            except wire.ProtocolError as exc:
-                writer.write(
-                    wire.error_response(exc.status, "protocol_error", str(exc))
-                )
-                await writer.drain()
-                return
-            if request is None:
-                return
-            writer.write(await self._route(request))
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _route(self, request: wire.Request) -> bytes:
-        route = request.route
-        if route == "/healthz":
-            if request.method != "GET":
-                return self._method_not_allowed("GET")
-            return wire.json_response(200, self.health())
-        if route == "/metrics":
-            if request.method != "GET":
-                return self._method_not_allowed("GET")
-            fmt = request.query_params().get("format", "json")
-            if fmt == "prometheus":
-                return wire.response_bytes(
-                    200,
-                    (await self.metrics_prometheus()).encode("utf-8"),
-                    content_type=prometheus.CONTENT_TYPE,
-                )
-            if fmt != "json":
-                return wire.error_response(
-                    400,
-                    "bad_format",
-                    f"unknown metrics format {fmt!r}; expected 'json' or "
-                    f"'prometheus'",
-                )
-            return wire.json_response(200, await self.metrics_payload())
-        if route == "/v1/evaluate":
-            if request.method != "POST":
-                return self._method_not_allowed("POST")
-            return await self._evaluate(request)
-        return wire.error_response(
-            404, "not_found", f"no route for {request.path!r}"
-        )
-
-    @staticmethod
-    def _method_not_allowed(allowed: str) -> bytes:
-        return wire.error_response(
-            405,
-            "method_not_allowed",
-            f"only {allowed} is supported on this route",
-            extra_headers=(("Allow", allowed),),
-        )
-
     # -- evaluation: admission, single-flight, routing ---------------------------
 
     async def _evaluate(self, request: wire.Request) -> bytes:
-        trace_id = request.headers.get(wire.TRACE_HEADER.lower())
-        if trace_id is not None and not valid_trace_id(trace_id):
-            # A hostile header must not inject bytes into traces/logs.
-            trace_id = new_trace_id()
-        if trace_id is None and self.runtime.enabled:
-            trace_id = new_trace_id()
-        trace_headers: tuple[tuple[str, str], ...] = (
-            ((wire.TRACE_HEADER, trace_id),) if trace_id else ()
-        )
+        trace_id, trace_headers = self._trace(request)
         try:
             spec, priority = parse_evaluate_request(request)
         except EvaluateRequestError as exc:
@@ -772,7 +664,7 @@ class ShardRouter:
         priority: str,
         began: float,
         trace_id: str | None,
-        trace_headers: tuple[tuple[str, str], ...],
+        trace_headers: wire.Headers,
     ) -> bytes:
         key = spec_key(spec)
         task = self._inflight.get(key)
@@ -802,18 +694,8 @@ class ShardRouter:
                 asyncio.shield(task), self.config.worker.request_timeout_s
             )
         except asyncio.TimeoutError:
-            self.metrics.counter("serve.requests_timed_out").inc()
-            if self.log.enabled_for(obs_log.WARNING):
-                self.log.warning(
-                    "request.timeout",
-                    deadline_s=self.config.worker.request_timeout_s,
-                )
-            return wire.error_response(
-                504,
-                "timeout",
-                f"evaluation exceeded "
-                f"{self.config.worker.request_timeout_s:g} s",
-                extra_headers=trace_headers,
+            return self._timed_out(
+                self.config.worker.request_timeout_s, trace_headers
             )
         except WorkerUnavailable as exc:
             if self.log.enabled_for(obs_log.ERROR):
@@ -1021,13 +903,8 @@ class ShardRouter:
         return prometheus.render_exposition(self.metrics, extra_lines=extra)
 
 
-class ShardThread:
-    """A :class:`ShardRouter` on a background thread (tests, benches).
-
-    Mirrors :class:`~repro.serve.service.ServerThread`: runs its own
-    event loop, exposes the bound port once ready, drains on
-    :meth:`stop`, and works as a context manager.
-    """
+class ShardThread(LoopThread):
+    """A :class:`ShardRouter` on a background thread (tests, benches)."""
 
     def __init__(
         self,
@@ -1037,77 +914,16 @@ class ShardThread:
         log: EventLog | None = None,
         runtime: RuntimeTracer | None = None,
     ) -> None:
-        self.config = config
-        self.metrics = metrics
-        self.log = log
-        self.runtime = runtime
-        self._workers = workers
-        self.port: int | None = None
-        self.router: ShardRouter | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-shard-loop", daemon=True
+        super().__init__(
+            functools.partial(ShardRouter, config, metrics, workers, log, runtime),
+            name="router",
+            ready_timeout_s=config.worker_ready_timeout_s + 30,
         )
 
-    def start(self) -> "ShardThread":
-        self._thread.start()
-        ready_s = self.config.worker_ready_timeout_s + 30
-        if not self._ready.wait(timeout=ready_s):
-            raise RuntimeError(
-                f"shard router did not become ready in {ready_s:g} s"
-            )
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "shard router failed to start"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join(timeout=120)
-
-    def __enter__(self) -> "ShardThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - surfaced in start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.router = ShardRouter(
-            self.config,
-            metrics=self.metrics,
-            workers=self._workers,
-            log=self.log,
-            runtime=self.runtime,
-        )
-        self._stop = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.router.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            try:
-                await self.router.workers.stop()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-            return
-        self.port = self.router.port
-        self._ready.set()
-        await self._stop.wait()
-        await self.router.shutdown()
+    @property
+    def router(self) -> ShardRouter | None:
+        """The running router (after :meth:`start`)."""
+        return self.front
 
 
 def run_sharded(config: ShardConfig) -> int:
@@ -1117,51 +933,16 @@ def run_sharded(config: ShardConfig) -> int:
     Returns:
         0 after a clean drain.
     """
-
-    log = EventLog(sys.stderr, level=config.worker.log_level, source="router")
-    runtime = (
-        RuntimeTracer("router") if config.worker.trace_dir is not None
-        else NULL_RUNTIME_TRACER
+    return run_until_signal(
+        lambda log, runtime: ShardRouter(config, log=log, runtime=runtime),
+        name="router",
+        log_level=config.worker.log_level,
+        trace_dir=config.worker.trace_dir,
+        title="repro serve router",
+        settings=(
+            f"workers={config.workers}, jobs={config.worker.jobs}, "
+            f"queue_limit={config.admission_limit}, "
+            f"batch_limit={config.batch_admission_limit}, "
+            f"cache={'off' if config.worker.no_cache else 'on'}"
+        ),
     )
-
-    async def main() -> int:
-        router = ShardRouter(config, log=log, runtime=runtime)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        await router.start()
-        url = f"http://{config.host}:{router.port}"
-        log.info(
-            "serve.listening",
-            url=url,
-            message=(
-                f"repro serve router listening on {url} "
-                f"(workers={config.workers}, jobs={config.worker.jobs}, "
-                f"queue_limit={config.admission_limit}, "
-                f"batch_limit={config.batch_admission_limit}, "
-                f"cache={'off' if config.worker.no_cache else 'on'})"
-            ),
-        )
-        await stop.wait()
-        log.info("serve.draining")
-        await router.shutdown()
-        completed = int(
-            router.metrics.counter("serve.requests_completed").value
-        )
-        log.info(
-            "serve.drained",
-            requests_completed=completed,
-            message=(
-                f"repro serve router drained cleanly "
-                f"({completed} requests completed)"
-            ),
-        )
-        if runtime.enabled and config.worker.trace_dir is not None:
-            runtime.write(
-                Path(config.worker.trace_dir)
-                / f"router-{runtime.pid}.trace.json"
-            )
-        return 0
-
-    return asyncio.run(main())

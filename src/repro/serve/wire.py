@@ -15,7 +15,7 @@ import asyncio
 import json
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -75,11 +75,15 @@ WORKER_HEADER = "X-Repro-Worker"
 #: and worker trace files merge into a single per-request timeline.
 TRACE_HEADER = "X-Repro-Trace-Id"
 
+#: Header fields to serialize, as ``(name, value)`` pairs in order.
+Headers = tuple[tuple[str, str], ...]
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -149,22 +153,27 @@ class Request:
             raise ProtocolError(400, f"request body is not JSON: {exc}") from exc
 
 
-async def _read_headers(
+async def _read_headers_and_body(
     reader: asyncio.StreamReader,
+    max_body: int,
     *,
     malformed: int,
     too_large: int,
+    body_too_large: int,
     source: str,
-) -> dict[str, str]:
-    """Header fields up to the blank line, names lower-cased.
+) -> tuple[dict[str, str], bytes]:
+    """Header fields up to the blank line (names lower-cased), then the
+    ``Content-Length`` body: the part both readers share.
 
     ``StreamReader.readline`` raises ``ValueError`` for a line longer
     than the reader's buffer limit (64 KiB by default).
 
     Raises:
-        ProtocolError: with ``malformed`` for a line without a colon, and
-            with ``too_large`` for an over-long line or more than
-            :data:`MAX_HEADERS` lines.
+        ProtocolError: with ``malformed`` for a line without a colon, an
+            invalid ``Content-Length``, or a message that ends before its
+            blank line or its body does; with ``too_large`` for an
+            over-long line or more than :data:`MAX_HEADERS` lines; with
+            ``body_too_large`` for a body beyond ``max_body``.
     """
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):
@@ -174,19 +183,49 @@ async def _read_headers(
             raise ProtocolError(
                 too_large, f"header line{source} too long: {exc}"
             ) from None
-        if raw in (b"\r\n", b"\n", b""):
-            return headers
+        if raw in (b"\r\n", b"\n"):
+            break
+        if not raw.endswith(b"\n"):
+            raise ProtocolError(malformed, f"headers{source} cut short: {raw!r}")
         name, sep, value = raw.decode("latin-1").partition(":")
         if not sep:
             raise ProtocolError(malformed, f"malformed header line{source}: {raw!r}")
         headers[name.strip().lower()] = value.strip()
-    raise ProtocolError(too_large, f"more than {MAX_HEADERS} header lines{source}")
+    else:
+        raise ProtocolError(too_large, f"more than {MAX_HEADERS} header lines{source}")
+    # RFC 9112 §8.6: digits only. ``int()`` also takes ``+2`` and ``1_0``,
+    # and raises past 4,300 digits.
+    text = headers.get("content-length", "0")
+    if not (text.isascii() and text.isdigit()):
+        raise ProtocolError(malformed, f"invalid Content-Length{source}: {text!r}")
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(max_body)) or int(digits) > max_body:
+        raise ProtocolError(
+            body_too_large,
+            f"body of {digits[:24]} bytes{source} exceeds the {max_body} limit",
+        )
+    length = int(digits)
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError(
+            malformed,
+            f"body{source} cut short: {len(exc.partial)} of {length} bytes",
+        ) from None
+    return headers, body
 
 
 async def read_request(
-    reader: asyncio.StreamReader, max_body: int = MAX_BODY_BYTES
+    reader: asyncio.StreamReader,
+    max_body: int = MAX_BODY_BYTES,
+    *,
+    on_request_line: Callable[[], object] | None = None,
 ) -> Request | None:
     """Read one HTTP request from ``reader``.
+
+    Args:
+        on_request_line: called once the request line has arrived (the
+            server stops counting the connection as idle).
 
     Returns:
         The parsed request, or ``None`` when the peer closed the
@@ -194,37 +233,27 @@ async def read_request(
 
     Raises:
         ProtocolError: on a malformed or over-long request line (400), a
-            malformed header (400), an over-long header line or more
-            than :data:`MAX_HEADERS` headers (431), or a body beyond
+            malformed header, an invalid ``Content-Length`` or a request
+            cut short (400), an over-long header line or more than
+            :data:`MAX_HEADERS` headers (431), or a body beyond
             ``max_body`` (413).
     """
     try:
         line = await reader.readline()
-    except ConnectionError as exc:
-        raise ProtocolError(400, f"unreadable request line: {exc}") from exc
     except ValueError as exc:  # longer than the reader's buffer limit
         raise ProtocolError(400, f"request line too long: {exc}") from None
     if not line.strip():
         return None
+    if on_request_line is not None:
+        on_request_line()
     parts = line.decode("latin-1").split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise ProtocolError(400, f"malformed request line: {line!r}")
     method, path, _version = parts
-    headers = await _read_headers(reader, malformed=400, too_large=431, source="")
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise ProtocolError(
-            400, f"invalid Content-Length: {length_text!r}"
-        ) from None
-    if length < 0:
-        raise ProtocolError(400, f"invalid Content-Length: {length}")
-    if length > max_body:
-        raise ProtocolError(
-            413, f"request body of {length} bytes exceeds the {max_body} limit"
-        )
-    body = await reader.readexactly(length) if length else b""
+    headers, body = await _read_headers_and_body(
+        reader, max_body, malformed=400, too_large=431, body_too_large=413,
+        source="",
+    )
     return Request(method=method.upper(), path=path, headers=headers, body=body)
 
 
@@ -240,7 +269,8 @@ async def read_response(
 
     Raises:
         ProtocolError: on a malformed or over-long status line or header,
-            more than :data:`MAX_HEADERS` headers, or a bad body length
+            more than :data:`MAX_HEADERS` headers, an invalid or
+            implausible ``Content-Length``, or a response cut short
             (status 502 — the upstream worker misbehaved).
     """
     try:
@@ -258,40 +288,26 @@ async def read_response(
         raise ProtocolError(
             502, f"malformed status code from worker: {parts[1]!r}"
         ) from None
-    headers = await _read_headers(
-        reader, malformed=502, too_large=502, source=" from worker"
+    headers, body = await _read_headers_and_body(
+        reader, max_body, malformed=502, too_large=502, body_too_large=502,
+        source=" from worker",
     )
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise ProtocolError(
-            502,
-            f"invalid Content-Length from worker: "
-            f"{headers['content-length']!r}",
-        ) from None
-    if not 0 <= length <= max_body:
-        raise ProtocolError(
-            502, f"implausible Content-Length from worker: {length}"
-        )
-    body = await reader.readexactly(length) if length else b""
     return status, headers, body
 
 
-def request_bytes(
-    method: str,
-    path: str,
-    body: bytes = b"",
-    *,
-    headers: tuple[tuple[str, str], ...] = (),
-) -> bytes:
-    """Serialize one complete HTTP request (the router forwarding side)."""
-    head = [f"{method} {path} HTTP/1.1"]
-    head.append("Content-Type: application/json")
-    head.append(f"Content-Length: {len(body)}")
-    for name, value in headers:
-        head.append(f"{name}: {value}")
+def _message(start_line: str, content_type: str, body: bytes, headers: Headers) -> bytes:
+    """One complete ``Connection: close`` HTTP message."""
+    head = [start_line, f"Content-Type: {content_type}", f"Content-Length: {len(body)}"]
+    head.extend(f"{name}: {value}" for name, value in headers)
     head.append("Connection: close")
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+def request_bytes(
+    method: str, path: str, body: bytes = b"", *, headers: Headers = ()
+) -> bytes:
+    """Serialize one complete HTTP request (the router forwarding side)."""
+    return _message(f"{method} {path} HTTP/1.1", "application/json", body, headers)
 
 
 def response_bytes(
@@ -299,24 +315,18 @@ def response_bytes(
     body: bytes,
     *,
     content_type: str = "application/json",
-    extra_headers: tuple[tuple[str, str], ...] = (),
+    extra_headers: Headers = (),
 ) -> bytes:
     """Serialize one complete ``Connection: close`` HTTP response."""
     reason = _REASONS.get(status, "Unknown")
-    head = [f"HTTP/1.1 {status} {reason}"]
-    head.append(f"Content-Type: {content_type}")
-    head.append(f"Content-Length: {len(body)}")
-    for name, value in extra_headers:
-        head.append(f"{name}: {value}")
-    head.append("Connection: close")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+    return _message(f"HTTP/1.1 {status} {reason}", content_type, body, extra_headers)
 
 
 def json_response(
     status: int,
     payload: Any,
     *,
-    extra_headers: tuple[tuple[str, str], ...] = (),
+    extra_headers: Headers = (),
 ) -> bytes:
     """A JSON response with deterministic (sorted-key) serialization."""
     body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
@@ -328,7 +338,7 @@ def error_response(
     code: str,
     message: str,
     *,
-    extra_headers: tuple[tuple[str, str], ...] = (),
+    extra_headers: Headers = (),
 ) -> bytes:
     """The service's uniform error envelope."""
     return json_response(

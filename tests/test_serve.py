@@ -8,7 +8,9 @@ and talk to it with :class:`ServeClient` over loopback.
 """
 
 import asyncio
+import io
 import json
+import socket
 import threading
 import time
 from pathlib import Path
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.api import ScenarioSpec
 from repro.api.batch import SpecRun
+from repro.obs.log import EventLog
 from repro.serve import (
     EvaluateRequestError,
     EvaluationService,
@@ -449,13 +452,15 @@ def _read_with(reader_fn, data: bytes):
     return asyncio.run(main())
 
 
-def _raw_exchange(port: int, data: bytes) -> tuple[int, dict[str, str], bytes]:
-    """Send ``data`` on a fresh socket; parse the whole reply."""
-    import socket
-
+def _raw_exchange(
+    port: int, data: bytes, *, half_close: bool = True
+) -> tuple[int, dict[str, str], bytes]:
+    """Send ``data`` on a fresh socket (then shut down the write side,
+    unless ``half_close`` is false); parse the whole reply."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(data)
-        sock.shutdown(socket.SHUT_WR)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
@@ -476,6 +481,43 @@ UNDECODABLE_BODIES = [
     b'{"seed": ' + b"1" * 5000 + b"}",
     b"[" * 100_000 + b"]" * 100_000,
 ]
+
+
+#: Well-formed messages for the readers' fuzz tests to mutate.
+_REQUESTS = [
+    wire.request_bytes(
+        "POST", "/v1/evaluate", b'{"seed": 1}',
+        headers=((wire.PRIORITY_HEADER, "batch"),),
+    ),
+    wire.request_bytes("GET", "/metrics?format=prometheus"),
+]
+_RESPONSES = [
+    wire.response_bytes(
+        200, b'{"result": 1}\n', extra_headers=((wire.CACHE_HEADER, "hit"),)
+    ),
+    wire.error_response(404, "not_found", "no route"),
+]
+_NOISE = st.sampled_from(
+    [b"\r\n", b"\n", b":", b" ", b"0", b"9", b"+", b"_", b"\xff", b"Content-Length: "]
+) | st.binary(min_size=1, max_size=8)
+
+
+@st.composite
+def _mutated(draw, messages):
+    """One of ``messages`` cut, spliced, shortened or bit-flipped."""
+    data = bytearray(draw(st.sampled_from(messages)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(["cut", "insert", "delete", "flip"]))
+        if action == "cut":
+            del data[at:]
+        elif action == "insert":
+            data[at:at] = draw(_NOISE)
+        elif at < len(data) and action == "delete":
+            del data[at]
+        elif at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+    return bytes(data)
 
 
 class TestWireLimits:
@@ -525,6 +567,46 @@ class TestWireLimits:
         ):
             assert self._response_error(data).status == 502
 
+    @pytest.mark.parametrize("length", [b"1_0", b"+2"])
+    def test_content_length_is_digits_only(self, length):
+        head = b"Content-Length: " + length + b"\r\n\r\n0123456789"
+        request = self._request_error(b"POST /v1/evaluate HTTP/1.1\r\n" + head)
+        assert request.status == 400
+        assert "invalid Content-Length" in str(request)
+        assert self._response_error(b"HTTP/1.1 200 OK\r\n" + head).status == 502
+
+    @pytest.mark.parametrize(
+        "rest",
+        [b"Content-Length: 10\r\n\r\n{}", b"Content-Length: 2\r\n"],
+        ids=["body", "headers"],
+    )
+    def test_truncated_message_is_protocol_error(self, rest):
+        request = self._request_error(b"POST /v1/evaluate HTTP/1.1\r\n" + rest)
+        assert request.status == 400
+        assert "cut short" in str(request)
+        assert self._response_error(b"HTTP/1.1 200 OK\r\n" + rest).status == 502
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=200) | _mutated(_REQUESTS))
+    def test_read_request_raises_only_protocol_error(self, data):
+        try:
+            parsed = _read_with(wire.read_request, data)
+        except wire.ProtocolError as exc:
+            assert exc.status in (400, 413, 431)
+        else:
+            assert parsed is None or isinstance(parsed, wire.Request)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=200) | _mutated(_RESPONSES))
+    def test_read_response_raises_only_protocol_error(self, data):
+        try:
+            status, headers, body = _read_with(wire.read_response, data)
+        except wire.ProtocolError as exc:
+            assert exc.status == 502
+        else:
+            assert isinstance(status, int)
+            assert isinstance(headers, dict) and isinstance(body, bytes)
+
     @pytest.mark.parametrize(
         "data, status",
         [
@@ -541,8 +623,11 @@ class TestWireLimits:
                 + b"\r\n",
                 431,
             ),
+            # ~160 KB, more than the socket buffers hold: the rest must be
+            # read and discarded, or the close resets the 431 away.
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-H: v\r\n" * 20_000 + b"\r\n", 431),
         ],
-        ids=["request-line", "header-line", "header-count"],
+        ids=["request-line", "header-line", "header-count", "header-flood"],
     )
     def test_server_answers_well_formed_4xx(self, live_server, data, status):
         got, headers, body = _raw_exchange(live_server.port, data)
@@ -827,3 +912,48 @@ class TestHttpBackpressureAndTimeout:
         stopper.join(timeout=60)
         assert [s for s, _ in statuses] == [200] * 5
         assert all(size > 0 for _, size in statuses)
+
+
+class TestConnectionLoop:
+    """The front end's read deadline, rejection path and drain."""
+
+    def test_stalled_request_is_408_counted_and_logged(
+        self, cheap_result, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.http.READ_TIMEOUT_S", 0.3)
+        stream = io.StringIO()
+        config = ServerConfig(port=0, jobs=1, no_cache=True)
+        with ServerThread(
+            config,
+            evaluate_batch=fake_rows(cheap_result),
+            log=EventLog(stream, level="warning"),
+        ) as handle:
+            status, headers, body = _raw_exchange(
+                handle.port,
+                b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+                half_close=False,
+            )
+            snapshot = handle.server.metrics.snapshot()
+        assert status == 408
+        assert int(headers["content-length"]) == len(body)
+        error = json.loads(body)["error"]
+        assert (error["status"], error["code"]) == (408, "protocol_error")
+        assert snapshot["serve.protocol_errors.408"]["value"] == 1
+        (record,) = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert (record["event"], record["level"]) == ("request.failed", "warning")
+        assert (record["status"], record["code"]) == (408, "protocol_error")
+
+    def test_stop_closes_idle_connections(self, cheap_result):
+        config = ServerConfig(port=0, jobs=1, no_cache=True)
+        handle = ServerThread(config, evaluate_batch=fake_rows(cheap_result))
+        handle.start()
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as idle:
+            deadline = time.monotonic() + 10
+            while not handle.server._handlers:
+                assert time.monotonic() < deadline, "connection never accepted"
+                time.sleep(0.005)
+            stopper = threading.Thread(target=handle.stop)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive(), "stop() waited on an idle client"
+            assert idle.recv(1) == b""

@@ -15,6 +15,8 @@ Two layers, mirroring ``tests/test_serve.py``:
 
 import asyncio
 import json
+import socket
+import threading
 import time
 from pathlib import Path
 
@@ -449,6 +451,22 @@ class TestIntrospection:
             assert payload["tier_cache"]["hits"] == 2
 
         asyncio.run(main())
+
+
+class TestShutdown:
+    def test_stop_closes_idle_connections(self):
+        handle = ShardThread(router_config(), workers=FakeWorkers()).start()
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as idle:
+            deadline = time.monotonic() + 10
+            while not handle.router._handlers:
+                assert time.monotonic() < deadline, "connection never accepted"
+                time.sleep(0.005)
+            stopper = threading.Thread(target=handle.stop)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive(), "stop() waited on an idle client"
+            assert idle.recv(1) == b""
+        assert handle.router.workers.stopped
 
 
 @pytest.fixture(scope="module")
