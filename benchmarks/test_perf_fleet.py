@@ -5,8 +5,9 @@ electrical run processes ~1.6k events (two per failure), the photonic
 one ~2.4k (repair + replenish) — both should clear comfortably north of
 the floor on any machine; the bound exists to catch an accidental
 O(n^2) regression in the hot path (e.g. occupancy accounting per
-event), not to measure the hardware. ``scripts/bench_fleet.py`` records
-honest numbers to ``BENCH_fleet.json``.
+event), not to measure the hardware. perfbench's ``sim_churn`` workload
+(``python3 perfbench/run.py --workload sim_churn``) measures fleet runs
+end to end.
 """
 
 from _helpers import emit

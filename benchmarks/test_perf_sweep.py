@@ -7,8 +7,9 @@ repair runs the exhaustive replacement search. Three benches evaluate the
 identical spec list serially, across worker processes, and from a warm
 :class:`~repro.api.cache.DiskResultCache`, asserting along the way that
 all three produce the same results (the engine's byte-identical
-contract). ``scripts/bench_sweep.py`` records the same comparison to
-``BENCH_sweep.json``.
+contract). perfbench's ``sweep_cold`` workload
+(``python3 perfbench/run.py --workload sweep_cold``) measures cold
+evaluation end to end.
 """
 
 import json

@@ -5,9 +5,9 @@ events (arrival + departure per job, plus series samples) through the
 engine with a placement scan per arrival — comfortably north of the
 floor on any machine. The bound exists to catch an accidental O(n^2)
 regression in the hot path (e.g. occupancy rebuilds inside the
-placement scan), not to measure the hardware.
-``scripts/bench_tenancy.py`` records honest numbers to
-``BENCH_tenancy.json``.
+placement scan), not to measure the hardware. perfbench's
+``sim_churn`` workload (``python3 perfbench/run.py --workload
+sim_churn``) measures tenancy runs end to end.
 """
 
 from _helpers import emit

@@ -97,9 +97,26 @@ class FabricBackend(Protocol):
     """What a fabric must provide to serve the experiment API.
 
     Each method computes one ``RunResult`` section for a spec, reading
-    memoized topology artifacts from the session. Methods may raise
-    :class:`UnsupportedOutput` for sections that make no sense on the
-    fabric (e.g. optical repair on a switched server).
+    memoized topology artifacts from the session, and may raise
+    :class:`UnsupportedOutput` for a spec it cannot serve. Every fabric
+    produces the sections below. A backend adds, with the same
+    signature, those of the others it can produce:
+
+    * ``link_utilization`` — measured per-link load, the
+      stranded-bandwidth evidence;
+    * ``repair`` — repair the spec's failed chip (Figures 6a/7);
+    * ``device_report`` — physical-layer device characterization
+      (Figures 3a/3b);
+    * ``blast_radius`` — fleet-scale recovery-policy comparison
+      (Section 4.2);
+    * ``fleet_report`` — year-scale fleet reliability simulation;
+    * ``tenancy_report`` — multi-tenant churn simulation;
+    * ``trace`` — event timeline of the scenario's execution.
+
+    An output that makes no sense on the fabric (e.g. optical repair on
+    a switched server) goes in the backend's ``refusals`` map, output
+    name to reason: the session raises :class:`UnsupportedOutput` with
+    that reason where it would have called the method.
     """
 
     name: str
@@ -126,48 +143,6 @@ class FabricBackend(Protocol):
         self, session: "FabricSession", spec: ScenarioSpec
     ) -> TelemetryReport:
         """Measured execution on the fabric's performance model."""
-        ...
-
-    def link_utilization(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> LinkUtilizationReport:
-        """Measured per-link load — the stranded-bandwidth evidence."""
-        ...
-
-    def repair(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> RepairReport:
-        """Repair the spec's failed chip (Figures 6a/7)."""
-        ...
-
-    def device_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> DeviceReport:
-        """Physical-layer device characterization (Figures 3a/3b)."""
-        ...
-
-    def blast_radius(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> BlastRadiusSummary:
-        """Fleet-scale recovery-policy comparison (Section 4.2)."""
-        ...
-
-    def fleet_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> FleetReport:
-        """Year-scale fleet reliability simulation (both fabrics)."""
-        ...
-
-    def tenancy_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> TenancyReport:
-        """Multi-tenant churn simulation (both fabrics)."""
-        ...
-
-    def trace(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> TraceReport:
-        """Event timeline of the scenario's execution (and recovery)."""
         ...
 
     def metrics(
@@ -585,15 +560,6 @@ class _TorusBackendBase:
             photonic=run("photonic"),
         )
 
-    # -- unsupported defaults ------------------------------------------------------
-
-    def device_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> DeviceReport:
-        raise UnsupportedOutput(
-            f"the {self.name} fabric has no photonic device models"
-        )
-
 
 def _first_failure(spec: ScenarioSpec) -> tuple[int, ...]:
     if not spec.failures.failed_chips:
@@ -606,6 +572,7 @@ class ElectricalBackend(_TorusBackendBase):
 
     name = "electrical"
     interconnect = Interconnect.ELECTRICAL
+    refusals = {"device": "the electrical fabric has no photonic device models"}
 
     def capability_rows(
         self, session: "FabricSession", spec: ScenarioSpec
@@ -880,6 +847,30 @@ class SwitchedBackend:
     """NVSwitch-style big-switch server with host-side contention."""
 
     name = "switched"
+    refusals = {
+        "link_utilization": (
+            "the switched fabric has no per-link torus topology; its "
+            'contention story lives in the "telemetry" output'
+        ),
+        "repair": (
+            "the switched fabric models a single server; chip repair is a "
+            "host maintenance event, not a fabric operation"
+        ),
+        "device": "the switched fabric has no photonic device models",
+        "blast_radius": "blast-radius policies compare torus recovery strategies",
+        "fleet": (
+            "the fleet simulation compares torus repair mechanisms; the "
+            "switched fabric models a single server"
+        ),
+        "tenancy": (
+            "the tenancy simulation places slices on torus racks; the "
+            "switched fabric models a single server"
+        ),
+        "trace": (
+            "the switched fabric's contention model is closed-form — there "
+            'is no event timeline to trace; use the "metrics" output'
+        ),
+    }
 
     def __init__(self, host_contention_per_flow: float = 0.1, fanin: int = 4):
         self.host_contention_per_flow = host_contention_per_flow
@@ -963,60 +954,6 @@ class SwitchedBackend:
         return TelemetryReport(
             aggregate_throughput_bytes=server.aggregate_throughput_bytes(),
             ideal_throughput_bytes=server.ideal_throughput_bytes(),
-        )
-
-    def link_utilization(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> LinkUtilizationReport:
-        raise UnsupportedOutput(
-            "the switched fabric has no per-link torus topology; its "
-            'contention story lives in the "telemetry" output'
-        )
-
-    def repair(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> RepairReport:
-        raise UnsupportedOutput(
-            "the switched fabric models a single server; chip repair is a "
-            "host maintenance event, not a fabric operation"
-        )
-
-    def device_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> DeviceReport:
-        raise UnsupportedOutput(
-            "the switched fabric has no photonic device models"
-        )
-
-    def blast_radius(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> BlastRadiusSummary:
-        raise UnsupportedOutput(
-            "blast-radius policies compare torus recovery strategies"
-        )
-
-    def fleet_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> FleetReport:
-        raise UnsupportedOutput(
-            "the fleet simulation compares torus repair mechanisms; the "
-            "switched fabric models a single server"
-        )
-
-    def tenancy_report(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> TenancyReport:
-        raise UnsupportedOutput(
-            "the tenancy simulation places slices on torus racks; the "
-            "switched fabric models a single server"
-        )
-
-    def trace(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> TraceReport:
-        raise UnsupportedOutput(
-            "the switched fabric's contention model is closed-form — there "
-            'is no event timeline to trace; use the "metrics" output'
         )
 
     def metrics(

@@ -228,11 +228,14 @@ class FabricSession:
             if self.metrics is not None or runtime.enabled
             else None
         )
+        refusals = getattr(backend, "refusals", {})
         sections: dict[str, object] = {}
         for output in spec.outputs:
             if output == "utilization":
                 sections["utilization"] = self._utilization(spec)
                 continue
+            if output in refusals:
+                raise UnsupportedOutput(refusals[output])
             method = getattr(backend, methods[output], None)
             if method is None:
                 raise UnsupportedOutput(

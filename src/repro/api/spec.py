@@ -270,6 +270,17 @@ class DeviceSpec(Record):
     stitch_samples: int = 20000
     stitch_bins: int = 24
 
+    def __post_init__(self) -> None:
+        require_finite(self, "mzi_duration_s")
+        if self.mzi_duration_s <= 0:
+            raise ValueError("mzi_duration_s must be positive")
+        if self.mzi_samples < 2:
+            raise ValueError("mzi_samples must be at least 2")
+        if self.stitch_samples < 1:
+            raise ValueError("stitch_samples must be at least 1")
+        if self.stitch_bins < 1:
+            raise ValueError("stitch_bins must be at least 1")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec(Record):

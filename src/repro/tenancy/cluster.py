@@ -1,24 +1,23 @@
 """Live allocation state of a multi-rack cluster.
 
-:class:`ClusterState` owns one :class:`~repro.topology.slices.SliceAllocator`
-per rack — the allocator's ``Slice`` geometry stays the single source of
-truth for what a placement strands (``electrical_utilization`` /
-``optical_utilization``) — and adds what the static topology layer has no
-notion of: named jobs that arrive and depart, non-contiguous *steered*
+:class:`ClusterState` adds what the static topology layer has no notion
+of: named jobs that arrive and depart, non-contiguous *steered*
 placements a reconfigurable photonic fabric can assemble from scattered
 free chips, per-rack wavelength-circuit budgets for that steering, and
 the fragmentation telemetry the tenancy report charts.
 
-A steered placement registers each of its chips as a unit slice in the
-owning allocator (named ``job-N@k``), so allocator-level invariants — no
-two slices share a chip — keep holding across both placement kinds, and
-:meth:`check_consistent` can cross-check the cluster's incremental
-occupancy against the allocators chip by chip.
-
-Each rack's occupancy is an integer bitmask — bit ``i`` is the ``i``-th
-chip of :meth:`Torus.nodes`, in lexicographic order — so the placement
-scan tests a candidate box with one ``&`` against a box mask built once
-per shape.
+Occupancy is integer bitmasks — bit ``i`` is the ``i``-th chip of
+:meth:`Torus.nodes`, in lexicographic order — and the masks are the only
+placement record: each rack keeps one and each live allocation keeps its
+own. A placement sets bits and a release clears them; no
+:class:`~repro.topology.slices.Slice` is built and no unit slices are
+booked for steered chips. The placement scan tests a candidate box with
+one ``&`` against a box mask from a table built once per (rack shape,
+shape) and shared by every cluster. What a box strands follows the
+slice congestion-freedom rule
+(:func:`~repro.topology.slices.shape_utilization`), and
+:meth:`check_consistent` re-derives every rack mask, free count and
+circuit count from the live allocations.
 """
 
 from __future__ import annotations
@@ -27,14 +26,16 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from ..topology.slices import (
     NoContiguousPlacementError,
     ShapeTooLargeError,
-    Slice,
-    SliceAllocator,
     SliceOverlapError,
     WavelengthBudgetError,
+    _chips_for_geometry,
+    check_geometry,
+    shape_utilization,
 )
 from ..topology.torus import Coordinate, Torus
 
@@ -79,6 +80,45 @@ class Allocation:
         return len(self.chips)
 
 
+# Shared, read-only, by every cluster in the process. A served spec picks
+# its rack shape freely, so the memo must not grow with what clients send:
+# it keeps the 64 most recently used tables. The job catalog's shapes and
+# orientations take 21 tables on one rack shape, so 64 hold three rack
+# shapes' worth; a table costs about rack_chips**2 / 8 bytes of masks.
+@lru_cache(maxsize=64)
+def _box_table(
+    rack_shape: tuple[int, ...], shape: tuple[int, ...]
+) -> tuple[int, tuple[float, float], dict[Coordinate, int]]:
+    """Volume of ``shape``, its (electrical, optical) utilization, and
+    its wrap-around box mask at every offset of a ``rack_shape`` rack,
+    offsets in lexicographic order.
+
+    Raises:
+        ShapeTooLargeError: when no offset could ever host the shape.
+    """
+    for ext, rack_ext in zip(shape, rack_shape):
+        if ext > rack_ext:
+            raise ShapeTooLargeError(
+                f"shape {shape} exceeds the rack torus {rack_shape}"
+            )
+    nodes = list(Torus(rack_shape).nodes())
+    bits = {chip: 1 << i for i, chip in enumerate(nodes)}
+    table = {}
+    for offset in nodes:
+        axes = [
+            [(off + i) % rack_ext for i in range(ext)]
+            for off, ext, rack_ext in zip(offset, shape, rack_shape)
+        ]
+        mask = 0
+        for chip in itertools.product(*axes):
+            mask |= bits[chip]
+        table[offset] = mask
+    volume = math.prod(shape)
+    # A single-chip job has nothing to ring over, so strands nothing.
+    utilization = (1.0, 1.0) if volume == 1 else shape_utilization(shape, rack_shape)
+    return volume, utilization, table
+
+
 class ClusterState:
     """Occupancy of ``racks`` torus racks under a churning tenant mix.
 
@@ -104,7 +144,6 @@ class ClusterState:
         self.rack_count = racks
         self.steer_circuits = steer_circuits
         self._torus = Torus(self.rack_shape)
-        self.racks = [SliceAllocator(self._torus) for _ in range(racks)]
         self.allocations: dict[str, Allocation] = {}
         # Kept per live allocation, keyed and ordered like
         # ``allocations``: its chip mask, and the rate at which it
@@ -119,12 +158,6 @@ class ClusterState:
         # Free chips per rack, maintained incrementally — placement
         # scans and fragmentation sampling never rebuild occupancy.
         self._free = [self._torus.node_count] * racks
-        # Per shape: its volume and every (offset, box mask) candidate,
-        # offsets in lexicographic order.
-        self._boxes: dict[tuple[int, ...], tuple[int, list[tuple[Coordinate, int]]]] = {}
-        # Per box shape: its (electrical, optical) utilization, which
-        # the slice geometry fixes whatever the offset.
-        self._utilization: dict[tuple[int, ...], tuple[float, float]] = {}
 
     # -- capacity ----------------------------------------------------------------
 
@@ -172,20 +205,6 @@ class ClusterState:
 
     # -- placement ---------------------------------------------------------------
 
-    def _box_table(
-        self, shape: tuple[int, ...]
-    ) -> tuple[int, list[tuple[Coordinate, int]]]:
-        """Volume of ``shape`` and its wrap-around box mask at every
-        offset, offsets in lexicographic order."""
-        table = []
-        for offset in self._torus.nodes():
-            axes = [
-                [(off + i) % rack_ext for i in range(ext)]
-                for off, ext, rack_ext in zip(offset, shape, self.rack_shape)
-            ]
-            table.append((offset, self.chip_mask(itertools.product(*axes))))
-        return math.prod(shape), table
-
     def find_offset(
         self,
         rack: int,
@@ -197,19 +216,11 @@ class ClusterState:
         count as free — the defrag policy scans for a survivor's new home
         without releasing it first. Raises :class:`ShapeTooLargeError`
         when no offset could ever host the shape."""
-        boxes = self._boxes.get(shape)
-        if boxes is None:
-            for ext, rack_ext in zip(shape, self.rack_shape):
-                if ext > rack_ext:
-                    raise ShapeTooLargeError(
-                        f"shape {shape} exceeds the rack torus {self.rack_shape}"
-                    )
-            boxes = self._boxes[shape] = self._box_table(shape)
-        volume, table = boxes
+        volume, _, table = _box_table(self.rack_shape, shape)
         if volume > self._free[rack] + ignore.bit_count():
             return None
         taken = self._masks[rack] & ~ignore
-        for offset, box in table:
+        for offset, box in table.items():
             if not taken & box:
                 return offset
         return None
@@ -223,12 +234,22 @@ class ClusterState:
             SliceOverlapError: if a requested chip is taken (also when a
                 placement with this name is already live).
             ShapeTooLargeError: if the shape exceeds the rack torus.
+            ValueError: for any other geometry the rack cannot hold,
+                such as an offset outside it.
         """
         if name in self.allocations:
             raise SliceOverlapError(f"allocation {name!r} is already live")
-        placed = self.racks[rack].allocate(name, shape, offset)
-        self._register(name, rack, placed.chips(), shape, placed)
-        return self.allocations[name]
+        taken = self._masks[rack]
+        check_geometry(self.rack_shape, offset, shape)
+        _, utilization, table = _box_table(self.rack_shape, shape)
+        chips = _chips_for_geometry(self.rack_shape, offset, shape)
+        if taken & table[offset]:
+            overlap = [chip for chip in chips if taken & self._bits[chip]]
+            raise SliceOverlapError(
+                f"slice {name} overlaps {len(overlap)} allocated chips, "
+                f"e.g. {overlap[0]}"
+            )
+        return self._book(name, rack, chips, shape, offset, utilization, table[offset])
 
     def allocate_steered(
         self,
@@ -243,11 +264,14 @@ class ClusterState:
         rings over arbitrary chip sets, so any ``chips(shape)`` free chips
         in one rack suffice — each one costs a wavelength circuit. By
         default the lexicographically-first free chips are taken;
-        ``chips`` pins an explicit set (the defrag policy's undo path).
+        ``chips`` pins an explicit set (the defrag policy's undo path),
+        checked whole before anything is booked.
 
         Raises:
             SliceOverlapError: if a placement with this name is live, or
-                a pinned chip is taken.
+                a pinned chip is taken or pinned twice.
+            ValueError: if a pinned chip lies outside the rack, or the
+                pinned chips do not number the shape's.
             NoContiguousPlacementError: if the rack lacks free chips
                 (steering widens *where* chips may sit, not *how many*
                 exist).
@@ -256,9 +280,7 @@ class ClusterState:
         """
         if name in self.allocations:
             raise SliceOverlapError(f"allocation {name!r} is already live")
-        needed = 1
-        for ext in shape:
-            needed *= ext
+        needed = math.prod(shape)
         if needed > self._free[rack]:
             raise NoContiguousPlacementError(
                 f"rack {rack} has {self._free[rack]} free chips; "
@@ -285,16 +307,22 @@ class ClusterState:
                     f"{name}: pinned {len(picked)} chips for a "
                     f"{needed}-chip shape"
                 )
+            outside = [c for c in picked if c not in self._bits]
+            if outside:
+                raise ValueError(f"pinned chip {outside[0]} for {name} is outside the rack")
             busy = [c for c in picked if taken & self._bits[c]]
             if busy:
                 raise SliceOverlapError(
                     f"pinned chip {busy[0]} for {name} is already allocated"
                 )
-        allocator = self.racks[rack]
-        for k, chip in enumerate(picked):
-            allocator.allocate(f"{name}@{k}", (1,) * self._torus.ndim, chip)
-        self._register(name, rack, picked, shape, None)
-        return self.allocations[name]
+            if len(set(picked)) != needed:
+                raise SliceOverlapError(f"{name} pins a chip twice: {picked}")
+        # Steered rings are congestion-free by construction; static
+        # wiring cannot realize them at all (one chip needs no ring).
+        utilization = (1.0 if needed == 1 else 0.0, 1.0)
+        return self._book(
+            name, rack, picked, shape, None, utilization, self.chip_mask(picked)
+        )
 
     def steer_rings(self, name: str) -> Allocation:
         """Close a contiguous slice's stranded rings with circuits.
@@ -322,49 +350,41 @@ class ClusterState:
         self._stranded_optical[name] = needed * (1.0 - upgraded.optical_utilization)
         return upgraded
 
-    def _register(
+    def _book(
         self,
         name: str,
         rack: int,
-        chips: list[Coordinate],
+        chips: Iterable[Coordinate],
         shape: tuple[int, ...],
-        placed: Slice | None,
-    ) -> None:
-        contiguous = placed is not None
+        offset: Coordinate | None,
+        utilization: tuple[float, float],
+        mask: int,
+    ) -> Allocation:
+        """Set a placement's bits and keep its record and stranding
+        terms; ``offset`` is ``None`` for a steered chip set."""
+        chips = tuple(chips)
         count = len(chips)
-        if count == 1:
-            electrical = optical = 1.0
-        elif contiguous:
-            utilization = self._utilization.get(placed.shape)
-            if utilization is None:
-                utilization = self._utilization[placed.shape] = (
-                    placed.electrical_utilization(),
-                    placed.optical_utilization(),
-                )
-            electrical, optical = utilization
-        else:
-            # Steered rings are congestion-free by construction; static
-            # wiring cannot realize them at all.
-            electrical, optical = 0.0, 1.0
+        electrical, optical = utilization
+        contiguous = offset is not None
         circuits = 0 if contiguous else count
-        mask = self.chip_mask(chips)
         self._masks[rack] |= mask
         self._free[rack] -= count
         self._circuits_used[rack] += circuits
         self._allocation_masks[name] = mask
         self._stranded_electrical[name] = count * (1.0 - electrical)
         self._stranded_optical[name] = count * (1.0 - optical)
-        self.allocations[name] = Allocation(
+        allocation = self.allocations[name] = Allocation(
             name=name,
             rack=rack,
-            chips=tuple(chips),
+            chips=chips,
             shape=tuple(shape),
-            offset=placed.offset if placed is not None else None,
+            offset=offset,
             contiguous=contiguous,
             electrical_utilization=electrical,
             optical_utilization=optical,
             circuits=circuits,
         )
+        return allocation
 
     def release(self, name: str) -> Allocation:
         """Free the placement called ``name`` and return it.
@@ -376,12 +396,6 @@ class ClusterState:
         mask = self._allocation_masks.pop(name)
         del self._stranded_electrical[name]
         del self._stranded_optical[name]
-        allocator = self.racks[allocation.rack]
-        if allocation.contiguous:
-            allocator.release(name)
-        else:
-            for k in range(allocation.chip_count):
-                allocator.release(f"{name}@{k}")
         self._masks[allocation.rack] &= ~mask
         self._free[allocation.rack] += allocation.chip_count
         self._circuits_used[allocation.rack] -= allocation.circuits
@@ -401,9 +415,7 @@ class ClusterState:
         """
         best = 0
         for shape in shapes:
-            volume = 1
-            for ext in shape:
-                volume *= ext
+            volume = math.prod(shape)
             if volume <= best:
                 continue
             for rack in range(self.rack_count):
@@ -429,37 +441,35 @@ class ClusterState:
     # -- invariants ----------------------------------------------------------------
 
     def check_consistent(self) -> None:
-        """Cross-check the rack masks against the allocators.
+        """Cross-check each rack's mask, free count and circuit count
+        against the live allocations' kept masks and records.
 
         Raises:
-            AssertionError: on any divergence — overlapping
-                allocations, free-count drift, or circuit-budget drift.
-                Raised explicitly, so the check also runs under
-                ``python -O``.
+            AssertionError: on any divergence — a kept mask that is not
+                its allocation's chips, overlapping allocations, or a
+                rack mask, free count or circuit count that the live
+                allocations do not add up to (or a circuit budget out
+                of range). Raised explicitly, so the check also runs
+                under ``python -O``.
         """
+        held = [0] * self.rack_count
+        circuits = [0] * self.rack_count
+        for name, allocation in self.allocations.items():
+            rack, mask = allocation.rack, self._allocation_masks.get(name)
+            if mask != self.chip_mask(allocation.chips):
+                raise AssertionError(f"rack {rack}: kept mask of {name!r} diverged")
+            if held[rack] & mask:
+                raise AssertionError(f"rack {rack}: {name!r} overlaps another allocation")
+            held[rack] |= mask
+            circuits[rack] += allocation.circuits
         for rack in range(self.rack_count):
-            from_allocator = 0
-            total = 0
-            for s in self.racks[rack].slices:
-                chips = s.chips()
-                total += len(chips)
-                from_allocator |= self.chip_mask(chips)
-            held = from_allocator.bit_count()
-            if total != held:
+            if held[rack] != self._masks[rack]:
                 raise AssertionError(
-                    f"rack {rack}: allocator slices overlap "
-                    f"({total} chips in {held} coordinates)"
+                    f"rack {rack}: occupancy mask diverged from the allocations"
                 )
-            if from_allocator != self._masks[rack]:
-                raise AssertionError(
-                    f"rack {rack}: occupancy mask diverged from the allocator"
-                )
-            if self._free[rack] != self.rack_chips - held:
+            if self._free[rack] != self.rack_chips - held[rack].bit_count():
                 raise AssertionError(f"rack {rack}: free-count drift")
-            if not 0 <= self._circuits_used[rack] <= self.steer_circuits:
-                raise AssertionError(
-                    f"rack {rack}: circuit budget out of range"
-                )
-        by_rack_chips = sum(a.chip_count for a in self.allocations.values())
-        if by_rack_chips != self.occupied_chips():
-            raise AssertionError("allocation records diverged from occupancy")
+            if self._circuits_used[rack] != circuits[rack]:
+                raise AssertionError(f"rack {rack}: circuit-count drift")
+            if not 0 <= circuits[rack] <= self.steer_circuits:
+                raise AssertionError(f"rack {rack}: circuit budget out of range")

@@ -26,12 +26,14 @@ whole simulation.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Protocol
 
 from ..topology.slices import (
     AllocationError,
     ShapeTooLargeError,
     WavelengthBudgetError,
+    shape_utilization,
 )
 from .cluster import Allocation, ClusterState
 from .workload import JOB_CATALOG
@@ -75,20 +77,6 @@ class PlacementPolicy(Protocol):
         ...
 
 
-def _orientation_score(
-    shape: tuple[int, ...], rack_shape: tuple[int, ...]
-) -> float:
-    """Fraction of dimensions whose ring is congestion-free as placed."""
-    if all(ext == 1 for ext in shape):
-        return 1.0
-    usable = sum(
-        1
-        for ext, rack_ext in zip(shape, rack_shape)
-        if ext > 1 and ext == rack_ext
-    )
-    return usable / len(rack_shape)
-
-
 class FirstFitPolicy:
     """First rack, first lexicographic offset that fits."""
 
@@ -128,13 +116,15 @@ class BestFitPolicy:
     def place(
         self, cluster: ClusterState, name: str, shape: tuple[int, ...]
     ) -> Allocation | None:
-        orientations = sorted(
-            {tuple(p) for p in itertools.permutations(shape)},
-            key=lambda s: (-_orientation_score(s, cluster.rack_shape), s),
+        # Score an orientation by its electrical utilization: the
+        # fraction of dimensions whose ring is congestion-free as placed.
+        scored = sorted(
+            (-shape_utilization(p, cluster.rack_shape)[0], p)
+            for p in set(itertools.permutations(shape))
         )
         best = None  # (score, free, rack, offset, oriented)
-        for oriented in orientations:
-            score = _orientation_score(oriented, cluster.rack_shape)
+        for negated, oriented in scored:
+            score = -negated
             if best is not None and score < best[0]:
                 break  # orientations are score-sorted; no later win
             for rack in range(cluster.rack_count):
@@ -256,9 +246,7 @@ class SteerOnArrivalPolicy:
             if allocation.optical_utilization < 1.0:
                 allocation = cluster.steer_rings(name)
             return allocation
-        needed = 1
-        for ext in shape:
-            needed *= ext
+        needed = math.prod(shape)
         candidates = sorted(
             (
                 rack

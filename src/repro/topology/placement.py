@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .slices import AllocationError, Slice, SliceAllocator
+from .slices import AllocationError, SliceAllocator, shape_utilization
 from .torus import Torus
 
 __all__ = [
@@ -72,14 +72,27 @@ def _candidate_shapes(chips: int, rack_shape: tuple[int, ...]):
             yield shape
 
 
-def _shape_utilization(shape: tuple[int, ...], rack_shape: tuple[int, ...]) -> float:
-    """Electrical utilization a slice of ``shape`` would get (paper rule)."""
-    usable = sum(
-        1
-        for ext, rack_ext in zip(shape, rack_shape)
-        if ext > 1 and ext == rack_ext
+def _place_each(
+    rack: Torus, requests: list[PlacementRequest], shape_order
+) -> PlacementOutcome:
+    """First-fit each request in turn, trying its candidate shapes in
+    ``shape_order`` (a sort key) until one fits."""
+    allocator = SliceAllocator(rack)
+    placed, rejected = [], []
+    for request in requests:
+        shapes = sorted(_candidate_shapes(request.chips, rack.shape), key=shape_order)
+        for shape in shapes:
+            try:
+                allocator.allocate_first_fit(request.name, shape)
+            except AllocationError:
+                continue
+            placed.append(request.name)
+            break
+        else:
+            rejected.append(request.name)
+    return PlacementOutcome(
+        allocator=allocator, placed=tuple(placed), rejected=tuple(rejected)
     )
-    return usable / len(rack_shape)
 
 
 def compactness_first_placement(
@@ -92,24 +105,10 @@ def compactness_first_placement(
     so under the paper's congestion-freedom rule they strand every byte
     of static bandwidth. This is the bandwidth-blind baseline.
     """
-    allocator = SliceAllocator(rack)
-    placed, rejected = [], []
-    for request in requests:
-        shapes = sorted(
-            _candidate_shapes(request.chips, rack.shape),
-            key=lambda shape: (max(shape) - min(shape), max(shape), shape),
-        )
-        success = False
-        for shape in shapes:
-            try:
-                allocator.allocate_first_fit(request.name, shape)
-                success = True
-                break
-            except AllocationError:
-                continue
-        (placed if success else rejected).append(request.name)
-    return PlacementOutcome(
-        allocator=allocator, placed=tuple(placed), rejected=tuple(rejected)
+    return _place_each(
+        rack,
+        requests,
+        lambda shape: (max(shape) - min(shape), max(shape), shape),
     )
 
 
@@ -123,29 +122,14 @@ def utilization_aware_placement(
     then by compactness. Larger requests are placed first so full-span
     shapes still fit.
     """
-    allocator = SliceAllocator(rack)
-    placed, rejected = [], []
-    ordered = sorted(requests, key=lambda r: -r.chips)
-    for request in ordered:
-        shapes = sorted(
-            _candidate_shapes(request.chips, rack.shape),
-            key=lambda shape: (
-                -_shape_utilization(shape, rack.shape),
-                max(shape) - min(shape),
-                shape,
-            ),
-        )
-        success = False
-        for shape in shapes:
-            try:
-                allocator.allocate_first_fit(request.name, shape)
-                success = True
-                break
-            except AllocationError:
-                continue
-        (placed if success else rejected).append(request.name)
-    return PlacementOutcome(
-        allocator=allocator, placed=tuple(placed), rejected=tuple(rejected)
+    return _place_each(
+        rack,
+        sorted(requests, key=lambda r: -r.chips),
+        lambda shape: (
+            -shape_utilization(shape, rack.shape)[0],
+            max(shape) - min(shape),
+            shape,
+        ),
     )
 
 

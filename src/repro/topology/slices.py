@@ -21,6 +21,9 @@ from .torus import Coordinate, Link, Torus
 __all__ = [
     "Slice",
     "SliceAllocator",
+    "check_geometry",
+    "congestion_free_dimensions",
+    "shape_utilization",
     "AllocationError",
     "SliceOverlapError",
     "ShapeTooLargeError",
@@ -81,17 +84,7 @@ class Slice:
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.offset) != self.rack.ndim or len(self.shape) != self.rack.ndim:
-            raise ValueError("offset/shape dimensionality must match the rack")
-        if any(s < 1 for s in self.shape):
-            raise ValueError("slice extents must be >= 1")
-        for off, ext, rack_ext in zip(self.offset, self.shape, self.rack.shape):
-            if not 0 <= off < rack_ext:
-                raise ValueError(f"offset {self.offset} outside rack")
-            if ext > rack_ext:
-                raise ShapeTooLargeError(
-                    f"slice extent {ext} exceeds rack extent {rack_ext}"
-                )
+        check_geometry(self.rack.shape, self.offset, self.shape)
 
     # -- membership ----------------------------------------------------------
 
@@ -210,46 +203,70 @@ class Slice:
     # -- the paper's congestion-freedom rule -----------------------------------
 
     def dimension_is_congestion_free(self, dim: int) -> bool:
-        """Whether the slice can ring over ``dim`` using only its own links.
-
-        True iff the slice spans the rack's full extent in that dimension
-        (so the wrap link is slice-internal). A dimension of extent 1 has
-        no ring and returns False: the chip bandwidth statically wired to
-        that dimension is stranded — the paper's under-utilization.
-        """
+        """Whether the slice can ring over ``dim`` using only its own links."""
         if not 0 <= dim < self.rack.ndim:
             raise ValueError(f"dimension {dim} out of range")
-        if self.shape[dim] == 1:
-            return False
-        return self.shape[dim] == self.rack.shape[dim]
+        return dim in self.usable_dimensions()
 
     def usable_dimensions(self) -> list[int]:
         """Dimensions over which congestion-free rings exist (electrical)."""
-        return [
-            d for d in range(self.rack.ndim) if self.dimension_is_congestion_free(d)
-        ]
+        return congestion_free_dimensions(self.shape, self.rack.shape)
 
     def active_dimensions(self) -> list[int]:
         """Dimensions with more than one chip (rings the tenant *wants*)."""
         return [d for d, ext in enumerate(self.shape) if ext > 1]
 
     def electrical_utilization(self) -> float:
-        """Fraction of per-chip bandwidth usable with static electrical links.
-
-        Each chip's bandwidth is statically split across the rack's
-        dimensions; only congestion-free dimensions contribute. Slice-1
-        (4x2x1 in a 4x4x4 rack) yields 1/3 — the 66 % loss of Figure 5c.
-        """
-        return len(self.usable_dimensions()) / self.rack.ndim
+        """Fraction of per-chip bandwidth usable with static electrical
+        links: 1/3 for Slice-1 (4x2x1 in a 4x4x4 rack), Figure 5c's 66 % loss."""
+        return shape_utilization(self.shape, self.rack.shape)[0]
 
     def optical_utilization(self) -> float:
-        """Fraction of per-chip bandwidth usable with LIGHTPATH steering.
+        """Fraction of per-chip bandwidth usable with LIGHTPATH steering."""
+        return shape_utilization(self.shape, self.rack.shape)[1]
 
-        Optics redirects the stranded dimensions' bandwidth into the
-        active ones (paper Section 4.1), recovering full utilization for
-        any slice that has at least one usable ring.
-        """
-        return 1.0 if self.usable_dimensions() else 0.0
+
+def check_geometry(
+    rack_shape: tuple[int, ...], offset: Coordinate, shape: tuple[int, ...]
+) -> None:
+    """Refuse a slice of ``shape`` at ``offset`` that a ``rack_shape``
+    torus cannot hold: :class:`ShapeTooLargeError` for an extent over
+    the rack's, ``ValueError`` for any other misfit."""
+    if len(offset) != len(rack_shape) or len(shape) != len(rack_shape):
+        raise ValueError("offset/shape dimensionality must match the rack")
+    if any(s < 1 for s in shape):
+        raise ValueError("slice extents must be >= 1")
+    for off, ext, rack_ext in zip(offset, shape, rack_shape):
+        if not 0 <= off < rack_ext:
+            raise ValueError(f"offset {offset} outside rack")
+        if ext > rack_ext:
+            raise ShapeTooLargeError(
+                f"slice extent {ext} exceeds rack extent {rack_ext}"
+            )
+
+
+def congestion_free_dimensions(
+    shape: tuple[int, ...], rack_shape: tuple[int, ...]
+) -> list[int]:
+    """The paper's congestion-freedom rule: a ``shape`` slice of a
+    ``rack_shape`` torus rings over a dimension using only its own links
+    iff it spans the rack's full extent there (so the wrap link is
+    slice-internal). A dimension of extent 1 has no ring: the chip
+    bandwidth statically wired to it is stranded."""
+    return [d for d, (ext, rack_ext) in enumerate(zip(shape, rack_shape)) if 1 < ext == rack_ext]
+
+
+def shape_utilization(
+    shape: tuple[int, ...], rack_shape: tuple[int, ...]
+) -> tuple[float, float]:
+    """(electrical, optical) fraction of per-chip bandwidth a ``shape``
+    slice of a ``rack_shape`` torus can use. Each chip's bandwidth is
+    split statically across the rack's dimensions, so over static links
+    only the congestion-free ones count; optics redirects the stranded
+    share into the active rings (Section 4.1), so any usable ring gives
+    full utilization."""
+    usable = len(congestion_free_dimensions(shape, rack_shape))
+    return usable / len(rack_shape), 1.0 if usable else 0.0
 
 
 @lru_cache(maxsize=4096)

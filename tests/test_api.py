@@ -122,6 +122,65 @@ class TestRegistry:
             assert isinstance(create_backend(name), FabricBackend)
 
 
+#: Every output a built-in backend refuses, and the reason it gives.
+REFUSALS = [
+    (
+        "switched",
+        "link_utilization",
+        "the switched fabric has no per-link torus topology; its "
+        'contention story lives in the "telemetry" output',
+    ),
+    (
+        "switched",
+        "repair",
+        "the switched fabric models a single server; chip repair is a "
+        "host maintenance event, not a fabric operation",
+    ),
+    ("switched", "device", "the switched fabric has no photonic device models"),
+    ("switched", "blast_radius", "blast-radius policies compare torus recovery strategies"),
+    (
+        "switched",
+        "fleet",
+        "the fleet simulation compares torus repair mechanisms; the "
+        "switched fabric models a single server",
+    ),
+    (
+        "switched",
+        "tenancy",
+        "the tenancy simulation places slices on torus racks; the "
+        "switched fabric models a single server",
+    ),
+    (
+        "switched",
+        "trace",
+        "the switched fabric's contention model is closed-form — there "
+        'is no event timeline to trace; use the "metrics" output',
+    ),
+    ("electrical", "device", "the electrical fabric has no photonic device models"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "fabric, output, message", REFUSALS,
+        ids=[f"{fabric}-{output}" for fabric, output, _ in REFUSALS],
+    )
+    def test_refused_output_raises_its_reason(self, fabric, output, message):
+        mode = "sim" if output in ("link_utilization", "trace") else "closed_form"
+        spec = ScenarioSpec(fabric=fabric, mode=mode, outputs=(output,))
+        with pytest.raises(UnsupportedOutput) as excinfo:
+            FabricSession().run(spec)
+        assert str(excinfo.value) == message
+
+    def test_table_lists_every_refusal(self):
+        refused = {
+            (name, output)
+            for name in ("electrical", "photonic", "switched")
+            for output in getattr(create_backend(name), "refusals", {})
+        }
+        assert refused == {(fabric, output) for fabric, output, _ in REFUSALS}
+
+
 class TestSessionMemoization:
     def test_repeated_run_returns_same_result(self):
         session = FabricSession()

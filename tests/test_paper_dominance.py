@@ -5,9 +5,9 @@ than rack migration, over a year at the production failure rate and
 under ten times that rate, whatever the dispatch policy. Section 4.1:
 photonic steering strands strictly less chip bandwidth and rejects no
 more jobs, over a week of churn and a two-day burst at twice the load,
-whatever the base placement policy. The configs are those
-``scripts/bench_fleet.py`` and ``scripts/bench_tenancy.py`` record, at
-their default seed.
+whatever the base placement policy. The configs are the simulators'
+defaults and one stress variant of each (the year and week runs and
+their stress rows in EXPERIMENTS.md), at seed 7.
 """
 
 import pytest

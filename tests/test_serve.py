@@ -795,6 +795,50 @@ class TestSpecBoundary:
             assert len(api.spec_key(spec)) == 64
 
 
+#: DeviceSpec values JSON parses that no device report can use.
+BAD_DEVICE_FIELDS = [
+    ("mzi_duration_s", "NaN"),
+    ("mzi_duration_s", "Infinity"),
+    ("mzi_duration_s", "-1.0"),
+    ("mzi_duration_s", "0.0"),
+    ("mzi_samples", "0"),
+    ("mzi_samples", "1"),
+    ("stitch_samples", "0"),
+    ("stitch_bins", "0"),
+]
+
+
+class TestDeviceSpecBoundary:
+    """A device field no report can use is refused where the spec is
+    built, so the worker answers 400 before it spends an evaluation."""
+
+    @pytest.mark.parametrize("field, literal", BAD_DEVICE_FIELDS)
+    def test_from_dict_rejects(self, field, literal):
+        data = json.loads(f'{{"device": {{"{field}": {literal}}}}}')
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field, literal", BAD_DEVICE_FIELDS)
+    def test_worker_answers_400_without_evaluating(
+        self, live_client, field, literal
+    ):
+        def admitted():
+            metrics = live_client.metrics()["metrics"]
+            return metrics.get("serve.requests_admitted", {"value": 0})["value"]
+
+        before = admitted()
+        body = f'{{"outputs": ["device"], "device": {{"{field}": {literal}}}}}'
+        status, _, reply = live_client._request(
+            "POST", "/v1/evaluate", body.encode()
+        )
+        assert status == 400
+        error = json.loads(reply)["error"]
+        assert error["code"] == "bad_spec"
+        assert error["message"].startswith("invalid spec:")
+        assert field in error["message"]
+        assert admitted() == before
+
+
 class TestHttpIntrospection:
     def test_healthz_shape(self, live_client):
         health = live_client.healthz()

@@ -141,6 +141,28 @@ class TestClusterState:
         cluster.release("s")
         assert cluster.circuits_used(0) == 0
 
+    @pytest.mark.parametrize(
+        "pinned, error",
+        [
+            (((0, 0, 0), (0, 0, 0)), SliceOverlapError),  # one chip twice
+            (((0, 0, 0), (9, 9, 9)), ValueError),  # a chip outside the rack
+        ],
+    )
+    def test_rejected_pinned_steering_leaves_no_trace(self, pinned, error):
+        # The pinned set is checked whole before anything is booked, so
+        # a refused call leaves the cluster equal to a fresh one.
+        cluster, fresh = ClusterState(racks=1), ClusterState(racks=1)
+        with pytest.raises(error):
+            cluster.allocate_steered("s", (2, 1, 1), 0, chips=pinned)
+        assert cluster._masks == fresh._masks
+        assert cluster.free_chips(0) == fresh.free_chips(0)
+        assert cluster.circuits_used(0) == fresh.circuits_used(0)
+        assert cluster.allocations == {}
+        cluster.check_consistent()
+        assert cluster.find_offset(0, (1, 1, 1)) == (0, 0, 0)
+        cluster.allocate_box("b", (1, 1, 1), 0, (0, 0, 0))
+        cluster.check_consistent()
+
     def test_steered_needs_free_chips(self):
         cluster = ClusterState(racks=1, rack_shape=(2, 2, 2))
         cluster.allocate_box("fill", (2, 2, 2), 0, (0, 0, 0))
@@ -182,6 +204,31 @@ class TestClusterState:
             capture_output=True, text=True, env=env, check=True,
         )
         assert "rack 1" in result.stdout
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda c: c._masks.__setitem__(0, c._masks[0] | 1 << 63), "mask diverged"),
+            (lambda c: c._free.__setitem__(0, c._free[0] - 1), "free-count drift"),
+            (lambda c: c._circuits_used.__setitem__(0, 1), "circuit-count drift"),
+            (lambda c: c._allocation_masks.__setitem__("s", 1), "kept mask"),
+            (
+                lambda c: c.allocations.__setitem__(
+                    "t", replace(c.allocations["a"], name="t")
+                )
+                or c._allocation_masks.__setitem__("t", c._allocation_masks["a"]),
+                "overlaps",
+            ),
+        ],
+    )
+    def test_check_consistent_catches_each_divergence(self, corrupt, message):
+        cluster = ClusterState(racks=1, steer_circuits=8)
+        cluster.allocate_box("a", (2, 2, 1), 0, (0, 0, 0))
+        cluster.allocate_steered("s", (2, 1, 1), 0)
+        cluster.check_consistent()
+        corrupt(cluster)
+        with pytest.raises(AssertionError, match=message):
+            cluster.check_consistent()
 
     def test_steer_rings_upgrades_within_budget(self):
         cluster = ClusterState(racks=1, steer_circuits=8)

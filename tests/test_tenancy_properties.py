@@ -4,8 +4,9 @@ Three guarantees, each over randomized operation sequences or states:
 
 1. *Consistency*: any interleaving of box placements, steered placements
    and releases leaves :class:`ClusterState` internally consistent — the
-   incremental occupancy sets match the allocators chip for chip, freed
-   capacity is fully reusable, and released circuits return to the pool.
+   occupancy matches a shadow of slice allocators chip for chip after
+   every placement and release, freed capacity is fully reusable, and
+   released circuits return to the pool.
 2. *Defrag monotonicity*: a departure-time compaction pass never
    regresses the fragmentation metric (the largest catalog shape still
    contiguously allocatable), for any reachable cluster state — the
@@ -35,7 +36,9 @@ from repro.topology import (
     SliceOverlapError,
     WavelengthBudgetError,
 )
+from repro.topology.torus import Torus
 from tests.oracles.placement import (
+    ShadowAllocators,
     scan_find_offset,
     summed_stranding_rate,
     taken_chips,
@@ -57,7 +60,14 @@ operations = st.lists(
 
 
 def _apply(cluster: ClusterState, ops) -> list[str]:
-    """Drive the cluster through ``ops``; returns the live job names."""
+    """Drive the cluster through ``ops``; returns the live job names.
+
+    A shadow of per-rack slice allocators replays every placement and
+    release on the cluster from here on — the defrag policy's moves
+    included — and checks each rack's chips against its own after each
+    one.
+    """
+    ShadowAllocators(cluster)
     live: list[str] = []
     counter = 0
     for kind, selector, rack in ops:
@@ -234,9 +244,29 @@ class TestFindOffsetMatchesScan:
         for k, chip in enumerate(pinned[: len(pinned) // 2]):
             cluster.allocate_box(f"pin-{k}", (1, 1, 1), 0, chip)
         taken = taken_chips(cluster, 0)
-        free = [c for c in cluster.racks[0].rack.nodes() if c not in taken]
+        free = [c for c in Torus(rack_shape).nodes() if c not in taken]
         if needed > len(free):
             return
         placed = cluster.allocate_steered("s", (1, 1, needed), 0)
         assert list(placed.chips) == free[:needed]
+        cluster.check_consistent()
+
+
+class TestBoxRefusalsMatchAllocator:
+    @given(placement_states())
+    @settings(max_examples=200, deadline=None)
+    def test_refused_box_raises_what_a_slice_allocator_raises(self, state):
+        # Overlapping boxes, a shape one past the rack and an offset
+        # outside it: the shadow requires the allocator to refuse each
+        # with the cluster's exception type and message.
+        rack_shape, boxes, _, _, shape = state
+        cluster = ClusterState(rack_shape=rack_shape, racks=1, steer_circuits=64)
+        ShadowAllocators(cluster)
+        corner = (0,) * len(rack_shape)
+        attempts = boxes + [(corner, shape), (rack_shape, (1,) * len(rack_shape))]
+        for k, (offset, extent) in enumerate(attempts):
+            try:
+                cluster.allocate_box(f"box-{k}", extent, 0, offset)
+            except (SliceOverlapError, ValueError):
+                pass
         cluster.check_consistent()
