@@ -24,6 +24,9 @@ contract:
    two processes sharing the request's trace id. The merged trace is
    left at ``$SHARD_SMOKE_TRACE`` (default ``shard-trace.json``) as a
    CI artifact — open it at ui.perfetto.dev.
+6. A second tier's workers go down with their router: SIGKILL the
+   router (no drain, no SIGTERM to the workers) and every worker PID
+   that ``/healthz`` listed must be gone within 10 s.
 
 Run:  PYTHONPATH=src python scripts/shard_smoke.py
 """
@@ -50,21 +53,19 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def start_router(
-    cache_dir: str, trace_dir: str
-) -> tuple[subprocess.Popen, int]:
-    """Launch the sharded tier on an ephemeral port; parse the bound port."""
+def start_router(*args: str) -> tuple[subprocess.Popen, int]:
+    """Launch a 2-worker tier on an ephemeral port, in its own process
+    group; parse the bound port."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "--jobs", "1",
-            "--cache-dir", cache_dir,
-            "--trace-dir", trace_dir,
+            "--port", "0", "--workers", "2", "--jobs", "1", *args,
         ],
         env=env,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
     assert process.stderr is not None
     deadline = time.monotonic() + 120
@@ -96,7 +97,9 @@ def main() -> int:
     ) as cache_dir, tempfile.TemporaryDirectory(
         prefix="repro-shard-trace-"
     ) as trace_dir:
-        process, port = start_router(cache_dir, trace_dir)
+        process, port = start_router(
+            "--cache-dir", cache_dir, "--trace-dir", trace_dir
+        )
         try:
             client = ServeClient(port=port)
             client.wait_until_ready()
@@ -234,8 +237,42 @@ def main() -> int:
             f"{len(tagged_pids)} processes; merged {count} events -> {out}"
         )
 
+    # 6. SIGKILL a router: its workers must not outlive it.
+    process, port = start_router("--no-cache")
+    try:
+        pids = [
+            worker["pid"] for worker in ServeClient(port=port).healthz()["workers"]
+        ]
+        process.kill()
+        process.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while left := [pid for pid in pids if running(pid)]:
+            if time.monotonic() > deadline:
+                fail(f"workers {left} still running 10 s after their router's SIGKILL")
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait(timeout=10)
+    print(f"sigkill: router killed, its workers {pids} exited within 10 s")
+
     print("shard smoke: OK")
     return 0
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 if __name__ == "__main__":

@@ -349,6 +349,11 @@ class ScenarioSpec(Record):
                 'the "metrics" output requires mode="sim" '
                 "(simulator counters are measured, not derived)"
             )
+        if "tenancy" in self.outputs and len(self.rack_shape) != 3:
+            raise ValueError(
+                f'the "tenancy" output needs a three-dimensional rack (its job '
+                f"shapes are 3-D), got rack_shape {self.rack_shape}"
+            )
         if self.buffer_bytes < 0:
             raise ValueError("buffer_bytes cannot be negative")
         for chip in self.failures.failed_chips:

@@ -746,14 +746,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     workers = args.workers if args.workers >= 0 else (os.cpu_count() or 1)
     if workers == 0:
-        return run_server(config)
+        return run_server(config, exit_on_stdin_eof=args.exit_on_stdin_eof)
     return run_sharded(
         ShardConfig(
             workers=workers,
             host=args.host,
             port=args.port,
             worker=config,
-        )
+        ),
+        exit_on_stdin_eof=args.exit_on_stdin_eof,
     )
 
 
@@ -1056,6 +1057,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="structured JSONL event-log threshold on stderr "
         "(default: info)",
     )
+    # Internal: drain and exit at end of file on stdin. The shard router
+    # passes it to its workers, whose stdin is a pipe only it writes to.
+    psv.add_argument("--exit-on-stdin-eof", action="store_true", help=argparse.SUPPRESS)
 
     pob = sub.add_parser(
         "obs",

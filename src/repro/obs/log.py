@@ -127,7 +127,8 @@ class EventLog:
     # -- emission ----------------------------------------------------------------
 
     def emit(self, level: int, event: str, **fields: Any) -> None:
-        """Write one schema-checked record at ``level``.
+        """Write one schema-checked record at ``level``; a record the
+        stream cannot take (``OSError``) is dropped, not raised.
 
         Raises:
             ValueError: for an event name outside :data:`EVENT_FIELDS`
@@ -154,8 +155,11 @@ class EventLog:
         record.update(fields)
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
-            self._stream.write(line + "\n")
-            self._stream.flush()
+            try:
+                self._stream.write(line + "\n")
+                self._stream.flush()
+            except OSError:
+                pass  # the reader is gone (a dead router held a worker's stderr)
 
     def debug(self, event: str, **fields: Any) -> None:
         self.emit(DEBUG, event, **fields)

@@ -6,7 +6,8 @@ body, a micro-batcher coalesces concurrent requests into
 :func:`~repro.api.batch.run_many` calls on a pool of persistent
 :class:`~repro.api.session.FabricSession`\\ s sharing one
 :class:`~repro.api.cache.DiskResultCache`, and the response body is the
-exact ``RunResult`` JSON the CLI would print for the same spec.
+exact ``RunResult`` JSON the CLI would print for the same spec; a
+repeated spec is answered from a memo of those bytes before admission.
 Admission is bounded (429 + ``Retry-After`` on overflow) with
 ``batch``-priority requests shed first under overload
 (``X-Repro-Priority``), every request has a deadline (504), and SIGTERM
@@ -19,9 +20,10 @@ and ``GET /metrics`` expose liveness and the
 N worker processes, routes by consistent-hashed spec key so each
 worker's caches stay hot (:class:`~repro.serve.shard.HashRing`),
 coalesces identical in-flight specs into one evaluation
-(``X-Repro-Coalesced``), and fails over along the ring when a worker is
-mid-restart — answering byte-identically to the single-process service
-throughout.
+(``X-Repro-Coalesced``), reuses kept-alive connections to its workers,
+and fails over along the ring when a worker is mid-restart — answering
+byte-identically to the single-process service throughout. The workers
+exit with their router, however it dies.
 
 Start it with ``python -m repro serve`` (see ``--help``), drive it with
 :class:`ServeClient`, or embed it in-process with :class:`ServerThread`

@@ -5,14 +5,19 @@
 trace-id minting and graceful shutdown. :class:`LoopThread` runs one on
 a background thread; :func:`run_until_signal` is ``repro serve``'s body.
 A request that cannot be read, or does not arrive within
-:data:`READ_TIMEOUT_S` (408), is answered, counted under
-``serve.protocol_errors.<status>`` and logged as ``request.failed``.
+:data:`READ_TIMEOUT_S` of its connection falling idle (408), is
+answered, counted under ``serve.protocol_errors.<status>`` and logged
+as ``request.failed``. A connection stays open for another request only
+when the request asked for it (``Connection: keep-alive``); one that
+sends no request line within :data:`READ_TIMEOUT_S` is closed without
+an answer.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+import os
 import signal
 import sys
 import threading
@@ -31,8 +36,9 @@ __all__ = [
     "run_until_signal",
 ]
 
-#: Seconds a client has, from the accept, to deliver its whole request.
-#: A spec is ~1 KiB, so this only ever cuts off a stalled peer.
+#: Seconds a client has, from the accept or from its previous answer on
+#: a kept-alive connection, to deliver its whole request. A spec is
+#: ~1 KiB, so this only ever cuts off a stalled or idle peer.
 READ_TIMEOUT_S = 10.0
 
 #: Bytes of an early-rejected request read (into memory) and thrown away
@@ -67,8 +73,9 @@ class HttpFrontEnd:
         self.port: int | None = None
         self._server: asyncio.Server | None = None
         self._handlers: set[asyncio.Task] = set()
-        # Connections that owe nothing (no request line yet, or answered
-        # and only being drained): a shutdown closes them.
+        # Connections that owe nothing (no request line yet, kept alive
+        # between requests, or answered and only being drained): a
+        # shutdown closes them.
         self._idle: set[asyncio.StreamWriter] = set()
 
     async def start(self) -> None:
@@ -77,7 +84,7 @@ class HttpFrontEnd:
         try:
             await self._open()
             self._server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host, port=self.config.port
+                self._serve_connection, host=self.config.host, port=self.config.port
             )
         except BaseException:
             await self._drain()
@@ -104,37 +111,23 @@ class HttpFrontEnd:
 
     # -- connection handling -----------------------------------------------------
 
-    async def _handle_connection(
+    def _serving(self) -> bool:
+        return self._server is None or self._server.is_serving()
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """The accept callback: one :meth:`_handle_connection` call per
+        request, for as long as the peer keeps the connection alive and
+        the listener is open."""
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
-        deadline = asyncio.get_running_loop().time() + READ_TIMEOUT_S
         try:
-            if self._server is not None and not self._server.is_serving():
-                return  # accepted as the listener closed: idle, so closed
-            self._idle.add(writer)
-            try:
-                request = await asyncio.wait_for(
-                    wire.read_request(
-                        reader, on_request_line=functools.partial(self._idle.discard, writer)
-                    ),
-                    READ_TIMEOUT_S,
-                )
-            except asyncio.TimeoutError:
-                error = wire.ProtocolError(
-                    408, f"request not received within {READ_TIMEOUT_S:g} s"
-                )
-            except wire.ProtocolError as exc:
-                error = exc
-            else:
-                if request is not None:
-                    writer.write(await self._route(request))
-                    await writer.drain()
-                return
-            await self._reject(reader, writer, error, deadline)
+            # A connection accepted as the listener closed is idle: closed.
+            while self._serving() and await self._handle_connection(reader, writer):
+                pass
         except ConnectionError:
             pass  # peer went away mid-request; nothing to answer
         finally:
@@ -144,6 +137,46 @@ class HttpFrontEnd:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read one request and answer it; whether to read another.
+
+        The connection counts as idle until the request line arrives. If
+        none arrives within :data:`READ_TIMEOUT_S`, it is closed without
+        an answer: on a kept-alive connection the peer would read a 408
+        as the answer to the request it sends next. A request that
+        stalls after its request line (408) or cannot be read gets its
+        error answer, and then the connection closes.
+        """
+        deadline = asyncio.get_running_loop().time() + READ_TIMEOUT_S
+        self._idle.add(writer)
+        try:
+            request = await asyncio.wait_for(
+                wire.read_request(
+                    reader, on_request_line=functools.partial(self._idle.discard, writer)
+                ),
+                READ_TIMEOUT_S,
+            )
+        except asyncio.TimeoutError:
+            if writer in self._idle:
+                return False
+            error = wire.ProtocolError(
+                408, f"request not received within {READ_TIMEOUT_S:g} s"
+            )
+        except wire.ProtocolError as exc:
+            error = exc
+        else:
+            if request is None:
+                return False
+            response = await self._route(request)
+            keep_alive = request.keep_alive and self._serving()
+            writer.write(wire.kept_alive(response) if keep_alive else response)
+            await writer.drain()
+            return keep_alive
+        await self._reject(reader, writer, error, deadline)
+        return False
 
     async def _reject(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
@@ -307,6 +340,7 @@ def run_until_signal(
     trace_dir: str | Path | None,
     title: str,
     settings: str,
+    exit_on_stdin_eof: bool = False,
 ) -> int:
     """Serve until SIGTERM/SIGINT, then drain; returns 0 after a clean drain.
 
@@ -314,6 +348,9 @@ def run_until_signal(
     tracer, on only with a ``trace_dir`` to write it to. ``serve.listening``
     carries the ``http://host:port`` URL that readiness probes grep
     stderr for, and ``serve.drained`` the phrase ``drained cleanly``.
+    With ``exit_on_stdin_eof``, end of file on stdin drains the same way:
+    the shard router holds the only write end of each worker's stdin, so
+    a worker goes down with its router however the router dies.
     """
     log = EventLog(sys.stderr, level=log_level, source=name)
     runtime = RuntimeTracer(name) if trace_dir is not None else NULL_RUNTIME_TRACER
@@ -324,6 +361,15 @@ def run_until_signal(
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, stop.set)
+        if exit_on_stdin_eof:
+            stdin = sys.stdin.fileno()
+
+            def on_stdin() -> None:
+                if not os.read(stdin, 4096):
+                    loop.remove_reader(stdin)
+                    stop.set()
+
+            loop.add_reader(stdin, on_stdin)
         await front.start()
         url = f"http://{front.config.host}:{front.port}"
         log.info(

@@ -5,10 +5,16 @@ a shared fabric model — the multi-tenant regime the roadmap targets,
 versus the one-shot CLI that pays interpreter startup and cold caches
 per query. The moving parts:
 
+* **A memo of answers** — the rendered body of every 200 evaluation,
+  keyed by :func:`~repro.api.cache.spec_key` and bounded by
+  :data:`MEMO_MAX_BYTES`. A repeated spec is answered from it on the
+  event loop before admission: no queue slot, linger, executor hop,
+  disk read or JSON decode and encode.
 * **Admission control** — a bounded queue in front of the batcher. When
   it is full, ``submit`` raises :class:`QueueFull` and the HTTP layer
   answers 429 with a ``Retry-After`` header, so overload degrades into
-  fast rejections instead of unbounded latency.
+  fast rejections instead of unbounded latency. Memo hits take no
+  queue slot, so the bound covers evaluations only.
 * **Micro-batching** — the batcher coalesces queued requests until the
   batch is full (``max_batch``) or the oldest request has lingered
   ``linger_ms``, then evaluates the batch through
@@ -39,6 +45,7 @@ import asyncio
 import functools
 import json
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +59,7 @@ from ..api.cache import (
     NullResultCache,
     ResultCache,
     default_cache_dir,
+    spec_key,
 )
 from ..api.session import FabricSession
 from ..api.spec import ScenarioSpec
@@ -78,6 +86,12 @@ __all__ = [
 
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 8421
+
+#: Bytes of rendered answers one service keeps to answer repeated specs
+#: before admission. perfbench's 50-scenario ``serve_warm`` set renders
+#: 0.31 MiB (median 5.6 KiB per answer), so this holds ~1,400 typical
+#: answers while bounding what the memo adds to the process.
+MEMO_MAX_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -172,6 +186,33 @@ class ServerConfig:
     def batch_queue_limit(self) -> int:
         """Queue depth past which ``batch`` requests are shed (at least 1)."""
         return max(1, int(self.queue_limit * self.batch_shed_fraction))
+
+
+class _BodyMemo:
+    """Rendered answers by spec key, at most ``max_bytes`` of them; the
+    least recently used goes first, and an answer over the bound is not
+    kept."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self._bodies: OrderedDict[str, bytes] = OrderedDict()
+
+    def get(self, key: str) -> bytes | None:
+        body = self._bodies.get(key)
+        if body is not None:
+            self._bodies.move_to_end(key)
+        return body
+
+    def put(self, key: str, body: bytes) -> None:
+        if len(body) > self.max_bytes:
+            return
+        old = self._bodies.pop(key, None)
+        self.bytes += len(body) - (len(old) if old is not None else 0)
+        self._bodies[key] = body
+        while self.bytes > self.max_bytes:
+            _, evicted = self._bodies.popitem(last=False)
+            self.bytes -= len(evicted)
 
 
 class EvaluateRequestError(Exception):
@@ -330,6 +371,9 @@ class EvaluationService:
         )
         self._inflight: set[asyncio.Task] = set()
         self._batcher: asyncio.Task | None = None
+        # Off without a cache: --no-cache evaluates every request.
+        self._memo = None if config.no_cache else _BodyMemo(MEMO_MAX_BYTES)
+        self._memo_stats = CacheStats()
         self._draining = False
         self._drain_wakeup = asyncio.Event()
         self.started_at = time.monotonic()
@@ -375,7 +419,54 @@ class EvaluationService:
         """Whether the service has begun its graceful shutdown."""
         return self._draining
 
+    # -- the memo ----------------------------------------------------------------
+
+    def recall(
+        self, spec: ScenarioSpec, priority: str = wire.DEFAULT_PRIORITY
+    ) -> bytes | None:
+        """The body this service rendered for ``spec`` before, or ``None``.
+
+        Called on the event loop before :meth:`submit`. A hit counts as a
+        completed request, a cache hit and a ``serve.memo_hits``, and
+        takes no queue slot.
+
+        Raises:
+            ShuttingDown: the service is draining (map to 503), memo or not.
+        """
+        self._refuse_if_draining(priority)
+        if self._memo is None:
+            return None
+        began = time.monotonic()
+        body = self._memo.get(spec_key(spec))
+        if body is None:
+            return None
+        self._memo_stats.hits += 1
+        counts = self._memo_stats.per_backend.setdefault(
+            spec.fabric, {"hits": 0, "misses": 0}
+        )
+        counts["hits"] += 1
+        self.metrics.counter("serve.memo_hits").inc()
+        self.metrics.counter("serve.requests_completed").inc()
+        elapsed = time.monotonic() - began
+        self.metrics.histogram("serve.request_seconds").observe(elapsed)
+        self.metrics.histogram(f"serve.request_seconds.{priority}").observe(elapsed)
+        return body
+
+    def remember(self, spec: ScenarioSpec, body: bytes) -> None:
+        """Keep the rendered body of a 200 evaluation for :meth:`recall`."""
+        if self._memo is not None:
+            self._memo.put(spec_key(spec), body)
+
     # -- admission ---------------------------------------------------------------
+
+    def _refuse_if_draining(self, priority: str) -> None:
+        if self._draining:
+            self.metrics.counter("serve.requests_rejected_draining").inc()
+            if self.log.enabled_for(obs_log.WARNING):
+                self.log.warning(
+                    "request.shed", priority=priority, reason="draining"
+                )
+            raise ShuttingDown("the service is draining")
 
     def submit(
         self,
@@ -402,13 +493,7 @@ class EvaluationService:
                 f"unknown priority {priority!r}; expected one of "
                 f"{list(wire.PRIORITIES)}"
             )
-        if self._draining:
-            self.metrics.counter("serve.requests_rejected_draining").inc()
-            if self.log.enabled_for(obs_log.WARNING):
-                self.log.warning(
-                    "request.shed", priority=priority, reason="draining"
-                )
-            raise ShuttingDown("the service is draining")
+        self._refuse_if_draining(priority)
         if (
             priority == "batch"
             and self._queue.qsize() >= self.config.batch_queue_limit
@@ -582,10 +667,9 @@ class EvaluationService:
     # -- introspection -----------------------------------------------------------
 
     def cache_stats(self) -> CacheStats:
-        """Hit/miss view summed over every pooled session."""
+        """Hit/miss view summed over the memo and every pooled session."""
         total = CacheStats()
-        for session in self._sessions:
-            stats = session.cache_stats()
+        for stats in (self._memo_stats, *(s.cache_stats() for s in self._sessions)):
             total.hits += stats.hits
             total.misses += stats.misses
             total.eval_seconds += stats.eval_seconds
@@ -710,6 +794,11 @@ class ReproServer(HttpFrontEnd):
                 exc.status, exc.code, str(exc), extra_headers=trace_headers
             )
         try:
+            body = self.service.recall(spec, priority)
+            if body is not None:
+                return wire.response_bytes(
+                    200, body, extra_headers=((wire.CACHE_HEADER, "hit"),) + trace_headers
+                )
             future = self.service.submit(
                 spec, priority=priority, trace_id=trace_id
             )
@@ -756,9 +845,11 @@ class ReproServer(HttpFrontEnd):
                 f"evaluation failed: {exc}",
                 extra_headers=trace_headers,
             )
+        body = _result_body(row)
+        self.service.remember(spec, body)
         return wire.response_bytes(
             200,
-            _result_body(row),
+            body,
             extra_headers=(
                 (wire.CACHE_HEADER, "hit" if row.from_cache else "miss"),
             )
@@ -793,8 +884,9 @@ class ServerThread(LoopThread):
         return self.front
 
 
-def run_server(config: ServerConfig) -> int:
-    """Run the service until SIGTERM/SIGINT; the ``repro serve`` body.
+def run_server(config: ServerConfig, *, exit_on_stdin_eof: bool = False) -> int:
+    """Run the service until SIGTERM/SIGINT (or, with
+    ``exit_on_stdin_eof``, end of file on stdin); the ``repro serve`` body.
 
     Returns:
         0 after a clean drain.
@@ -810,4 +902,5 @@ def run_server(config: ServerConfig) -> int:
             f"linger={config.linger_ms:g} ms, queue_limit={config.queue_limit}, "
             f"cache={'off' if config.no_cache else 'on'}"
         ),
+        exit_on_stdin_eof=exit_on_stdin_eof,
     )

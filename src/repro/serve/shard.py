@@ -10,7 +10,13 @@ graceful drain):
   on an ephemeral port with its own cache namespace
   (``<cache-dir>/worker-<slot>``), and respawns any worker that exits
   unexpectedly onto the *same slot*, so its disk cache stays hot across
-  restarts.
+  restarts. Each worker's stdin is a pipe only the router writes to;
+  the worker drains and exits at its end of file, so the workers go
+  down with their router however it dies.
+* **Pooled hops** — the router keeps its connections to each worker
+  open (``Connection: keep-alive``) and reuses them. A pooled connection
+  that fails before its status line (the worker closed it while idle)
+  is retried once on a fresh one before the request fails over.
 * **Consistent-hash routing** — a fixed-point :class:`HashRing` over
   :func:`~repro.api.cache.spec_key` maps every spec to a worker slot.
   Each worker therefore sees a stable shard of the key space: its
@@ -160,6 +166,10 @@ class HashRing:
         return len(self.nodes)
 
 
+class _ClosedIdle(Exception):
+    """A pooled connection failed before the answer's status line."""
+
+
 class WorkerUnavailable(Exception):
     """No worker could serve the forwarded request (maps to 502).
 
@@ -248,15 +258,25 @@ class ShardConfig:
         return None if root is None else root / f"worker-{slot}"
 
 
+#: An open connection to a worker: its stream reader and writer.
+_Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
 @dataclass
 class _WorkerSlot:
-    """One supervised worker slot: stable identity, replaceable process."""
+    """One supervised worker slot: stable identity, replaceable process.
+
+    ``pool`` holds the idle kept-alive connections to ``pool_process``;
+    it is dropped once ``process`` is another one.
+    """
 
     index: int
     process: subprocess.Popen | None = None
     port: int | None = None
     restarts: int = 0
     log_tail: deque = field(default_factory=lambda: deque(maxlen=50))
+    pool: list[_Connection] = field(default_factory=list)
+    pool_process: subprocess.Popen | None = None
 
     @property
     def name(self) -> str:
@@ -305,6 +325,7 @@ class SubprocessWorkers:
             "--batch-shed-fraction", str(worker.batch_shed_fraction),
             "--timeout-s", str(worker.request_timeout_s),
             "--log-level", worker.log_level,
+            "--exit-on-stdin-eof",
         ]
         if worker.trace_dir is not None:
             command.extend(
@@ -346,9 +367,15 @@ class SubprocessWorkers:
         with self._spawn_locks[slot.index]:
             if self._stopping or slot.alive:
                 return
+            if slot.process is not None and slot.process.stdin is not None:
+                slot.process.stdin.close()
+            # The stdin pipe's write end stays with the router alone
+            # (pipes are not inherited by the other workers): the worker
+            # reads end of file when the router exits, by any means.
             process = subprocess.Popen(
                 self._command(slot.index),
                 env=self._environment(),
+                stdin=subprocess.PIPE,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -445,10 +472,15 @@ class SubprocessWorkers:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     slot.process.kill()
                     slot.process.wait(timeout=10)
+                if slot.process.stdin is not None:
+                    slot.process.stdin.close()
 
     async def stop(self) -> None:
-        """SIGTERM every worker (each drains) and reap the processes."""
+        """Close the pooled connections, SIGTERM every worker (each
+        drains) and reap the processes."""
         self._stopping = True
+        for slot in self.slots:
+            self._drop_pool(slot)
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._terminate_sync)
 
@@ -465,41 +497,86 @@ class SubprocessWorkers:
         body: bytes = b"",
         headers: wire.Headers = (),
     ) -> tuple[int, dict[str, str], bytes]:
-        """One proxied HTTP exchange with worker ``slot``.
+        """One proxied HTTP exchange with worker ``slot``, on a pooled
+        connection when one is idle.
 
         Raises:
             WorkerUnavailable: the worker is down, unreachable, or died
                 mid-response (the router fails over or respawns).
         """
         target = self.slots[slot]
-        port = target.port
-        if port is None or not target.alive:
+        if target.port is None or not target.alive:
             raise WorkerUnavailable(
                 f"worker {target.name} is not running", slot=slot
             )
+        if target.pool_process is not target.process:
+            self._drop_pool(target)
+            target.pool_process = target.process
+        message = wire.kept_alive(wire.request_bytes(method, path, body, headers=headers))
+        if target.pool:
+            try:
+                return await self._exchange(target, target.pool.pop(), message, pooled=True)
+            except _ClosedIdle:
+                pass  # the worker closed it while idle: one fresh try
         try:
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            connection = await asyncio.open_connection("127.0.0.1", target.port)
         except OSError as exc:
             raise WorkerUnavailable(
                 f"worker {target.name} refused the connection: {exc}",
                 slot=slot,
             ) from exc
+        return await self._exchange(target, connection, message, pooled=False)
+
+    async def _exchange(
+        self, target: _WorkerSlot, connection: _Connection, message: bytes,
+        *, pooled: bool,
+    ) -> tuple[int, dict[str, str], bytes]:
+        """Send ``message`` on ``connection`` and read the answer; pool the
+        connection again when the worker keeps it open.
+
+        Raises:
+            _ClosedIdle: a ``pooled`` connection failed before a status
+                line came.
+            WorkerUnavailable: the exchange failed otherwise.
+        """
+        reader, writer = connection
+        answered = False
+
+        def on_status_line() -> None:
+            nonlocal answered
+            answered = True
+
+        reuse = False
         try:
-            writer.write(
-                wire.request_bytes(method, path, body, headers=headers)
-            )
+            writer.write(message)
             await writer.drain()
-            return await wire.read_response(reader)
+            status, headers, body = await wire.read_response(
+                reader, on_status_line=on_status_line
+            )
         except (ConnectionError, wire.ProtocolError) as exc:
+            if pooled and not answered:
+                raise _ClosedIdle() from exc
             raise WorkerUnavailable(
-                f"worker {target.name} died mid-response: {exc}", slot=slot
+                f"worker {target.name} died mid-response: {exc}", slot=target.index
             ) from exc
+        else:
+            reuse = (
+                headers.get("connection") == "keep-alive"
+                and not self._stopping
+                and target.pool_process is target.process
+            )
+            return status, headers, body
         finally:
+            if reuse:
+                target.pool.append(connection)
+            else:
+                writer.close()
+
+    @staticmethod
+    def _drop_pool(slot: _WorkerSlot) -> None:
+        for _reader, writer in slot.pool:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        slot.pool.clear()
 
     def describe(self) -> list[dict[str, Any]]:
         """Per-slot status for ``/healthz``."""
@@ -926,8 +1003,9 @@ class ShardThread(LoopThread):
         return self.front
 
 
-def run_sharded(config: ShardConfig) -> int:
-    """Run the sharded tier until SIGTERM/SIGINT; the ``repro serve
+def run_sharded(config: ShardConfig, *, exit_on_stdin_eof: bool = False) -> int:
+    """Run the sharded tier until SIGTERM/SIGINT (or, with
+    ``exit_on_stdin_eof``, end of file on stdin); the ``repro serve
     --workers N`` body.
 
     Returns:
@@ -945,4 +1023,5 @@ def run_sharded(config: ShardConfig) -> int:
             f"batch_limit={config.batch_admission_limit}, "
             f"cache={'off' if config.worker.no_cache else 'on'}"
         ),
+        exit_on_stdin_eof=exit_on_stdin_eof,
     )

@@ -4,9 +4,11 @@ The evaluation service speaks JSON-over-HTTP with exactly three routes,
 so it does not need a web framework — just enough of RFC 9112 to read
 one request from a stream and write one response back: a request line,
 headers, an optional ``Content-Length`` body, and a ``Connection:
-close`` response. Keeping the framing in its own module keeps the
-service logic (batching, admission, drain) free of byte-level parsing
-and lets the tests exercise malformed input directly.
+close`` response, or a ``Connection: keep-alive`` one to a request that
+asked for it (the shard router's pooled hops). Keeping the framing in
+its own module keeps the service logic (batching, admission, drain)
+free of byte-level parsing and lets the tests exercise malformed input
+directly.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "read_response",
     "request_bytes",
     "response_bytes",
+    "kept_alive",
     "json_response",
 ]
 
@@ -121,6 +124,13 @@ class Request:
     path: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the client asked to keep the connection open
+        (``Connection: keep-alive``); without it, it is closed."""
+        tokens = self.headers.get("connection", "").lower().split(",")
+        return "keep-alive" in (token.strip() for token in tokens)
 
     @property
     def route(self) -> str:
@@ -258,9 +268,16 @@ async def read_request(
 
 
 async def read_response(
-    reader: asyncio.StreamReader, max_body: int = MAX_BODY_BYTES
+    reader: asyncio.StreamReader,
+    max_body: int = MAX_BODY_BYTES,
+    *,
+    on_status_line: Callable[[], object] | None = None,
 ) -> tuple[int, dict[str, str], bytes]:
     """Read one HTTP response from ``reader`` (the router's proxy side).
+
+    Args:
+        on_status_line: called once a status line has arrived (the
+            router retries a pooled connection that failed before it).
 
     Returns:
         ``(status, headers, body)`` with header names lower-cased. The
@@ -279,6 +296,8 @@ async def read_response(
         raise ProtocolError(
             502, f"status line from worker too long: {exc}"
         ) from None
+    if line and on_status_line is not None:
+        on_status_line()
     parts = line.decode("latin-1").split(maxsplit=2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise ProtocolError(502, f"malformed status line from worker: {line!r}")
@@ -295,12 +314,17 @@ async def read_response(
     return status, headers, body
 
 
+#: The last header line and blank line of every message :func:`_message`
+#: frames, and of one that keeps its connection open.
+_CLOSE = b"\r\nConnection: close\r\n\r\n"
+_KEEP_ALIVE = b"\r\nConnection: keep-alive\r\n\r\n"
+
+
 def _message(start_line: str, content_type: str, body: bytes, headers: Headers) -> bytes:
     """One complete ``Connection: close`` HTTP message."""
     head = [start_line, f"Content-Type: {content_type}", f"Content-Length: {len(body)}"]
     head.extend(f"{name}: {value}" for name, value in headers)
-    head.append("Connection: close")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+    return "\r\n".join(head).encode("latin-1") + _CLOSE + body
 
 
 def request_bytes(
@@ -320,6 +344,17 @@ def response_bytes(
     """Serialize one complete ``Connection: close`` HTTP response."""
     reason = _REASONS.get(status, "Unknown")
     return _message(f"HTTP/1.1 {status} {reason}", content_type, body, extra_headers)
+
+
+def kept_alive(message: bytes) -> bytes:
+    """``message`` with ``Connection: keep-alive`` for its closing header:
+    a request asking to keep the connection open, or the answer that
+    keeps it.
+
+    The first match is the end of the head: a head holds no blank line
+    before its own, and the body comes after it.
+    """
+    return message.replace(_CLOSE, _KEEP_ALIVE, 1)
 
 
 def json_response(

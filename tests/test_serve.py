@@ -10,7 +10,12 @@ and talk to it with :class:`ServeClient` over loopback.
 import asyncio
 import io
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -21,14 +26,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import api
 from repro.api import ScenarioSpec
 from repro.api.batch import SpecRun
+from repro.cli import build_parser
 from repro.obs.log import EventLog
 from repro.serve import (
     EvaluateRequestError,
     EvaluationService,
     QueueFull,
+    ReproServer,
     ServeClient,
     ServeError,
     ServerConfig,
@@ -520,6 +528,35 @@ def _mutated(draw, messages):
     return bytes(data)
 
 
+class TestKeepAliveFraming:
+    def test_kept_alive_swaps_only_the_closing_header(self):
+        body = b"Connection: close\r\n\r\nin the body"
+        closed = wire.response_bytes(200, body)
+        kept = wire.kept_alive(closed)
+        assert kept == closed.replace(b"close", b"keep-alive", 1)
+        assert kept.endswith(body)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(None, False), ("close", False), ("keep-alive", True), ("Keep-Alive, Upgrade", True)],
+    )
+    def test_request_asks_for_keep_alive(self, value, expected):
+        headers = {} if value is None else {"connection": value}
+        assert wire.Request("GET", "/healthz", headers).keep_alive is expected
+
+    def test_status_line_callback_fires_only_for_a_status_line(self):
+        seen = []
+
+        async def read(reader):
+            return await wire.read_response(reader, on_status_line=lambda: seen.append(1))
+
+        with pytest.raises(wire.ProtocolError):
+            _read_with(read, b"")
+        assert seen == []
+        assert _read_with(read, wire.response_bytes(200, b"{}"))[0] == 200
+        assert seen == [1]
+
+
 class TestWireLimits:
     """Oversized, header-flooded or undecodable input is a typed
     protocol error."""
@@ -839,6 +876,120 @@ class TestDeviceSpecBoundary:
         assert admitted() == before
 
 
+class TestTenancyRackBoundary:
+    """A ``tenancy`` spec on a rack that is not 3-D (the job catalog's
+    shapes are) is refused where the spec is built, not mid-evaluation."""
+
+    @pytest.mark.parametrize("shape", [[4, 4], [4, 4, 4, 1]])
+    def test_from_dict_rejects(self, shape):
+        data = {"rack_shape": shape, "outputs": ["tenancy"], "tenancy": {"days": 0.01}}
+        with pytest.raises(ValueError, match=re.escape(f"rack_shape {tuple(shape)}")):
+            ScenarioSpec.from_dict(data)
+
+    def test_other_outputs_keep_any_rack(self):
+        assert ScenarioSpec(rack_shape=(4, 4), outputs=("capabilities",)).rack_shape == (4, 4)
+
+    @pytest.mark.parametrize("shape", [[4, 4], [4, 4, 4, 1]])
+    def test_worker_answers_400_without_evaluating(self, live_client, shape):
+        def admitted():
+            metrics = live_client.metrics()["metrics"]
+            return metrics.get("serve.requests_admitted", {"value": 0})["value"]
+
+        before = admitted()
+        body = {"rack_shape": shape, "outputs": ["tenancy"], "tenancy": {"days": 0.01}}
+        status, _, reply = live_client._request(
+            "POST", "/v1/evaluate", json.dumps(body).encode()
+        )
+        assert status == 400
+        error = json.loads(reply)["error"]
+        assert error["code"] == "bad_spec"
+        assert "rack_shape" in error["message"]
+        assert admitted() == before
+
+
+class TestAnswerMemo:
+    """Repeated specs are answered from the rendered-bytes memo before
+    admission, and the memo's hits count everywhere a cache hit does."""
+
+    def test_hit_returns_evaluated_bytes_without_a_batch(self, tmp_path):
+        config = ServerConfig(port=0, jobs=1, linger_ms=1.0, cache_dir=tmp_path)
+        spec = golden_spec()
+        with ServerThread(config) as handle:
+            client = ServeClient(port=handle.port)
+            first = client.evaluate_response(spec)
+            before = client.metrics()
+            second = client.evaluate_response(spec)
+            after = client.metrics()
+        assert first[0] == second[0] == 200
+        assert first[2] == second[2] == (GOLDEN_DIR / "serve_evaluate.json").read_bytes()
+        assert (first[1]["x-repro-cache"], second[1]["x-repro-cache"]) == ("miss", "hit")
+
+        def value(payload, name):
+            return payload["metrics"].get(name, {"value": 0})["value"]
+
+        assert value(after, "serve.batches") == value(before, "serve.batches") == 1
+        assert value(after, "serve.requests_admitted") == 1
+        assert value(after, "serve.memo_hits") == value(before, "serve.memo_hits") + 1 == 1
+        assert value(after, "serve.requests_completed") == 2
+        for name in ("serve.request_seconds", "serve.request_seconds.interactive"):
+            assert after["metrics"][name]["count"] == 2
+        assert after["cache"]["hits"] == before["cache"]["hits"] + 1
+        assert after["cache"]["per_backend"]["photonic"]["hits"] >= 1
+        assert after["metrics"]["serve.cache_hit_ratio"]["value"] == 0.5
+
+    def test_byte_bound_evicts_oldest_and_skips_oversized(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.service.MEMO_MAX_BYTES", 10)
+
+        async def main():
+            service = EvaluationService(ServerConfig(jobs=1, cache_dir=None))
+            a, b, c, d = (cheap_spec(seed) for seed in range(4))
+            for spec, body in ((a, b"aaaa"), (b, b"bbbb"), (c, b"cccc")):
+                service.remember(spec, body)
+            assert service.recall(a) is None
+            assert (service.recall(b), service.recall(c)) == (b"bbbb", b"cccc")
+            service.remember(d, b"d" * 11)
+            assert service.recall(d) is None
+            assert (service.recall(b), service.recall(c)) == (b"bbbb", b"cccc")
+            assert service.metrics.snapshot()["serve.memo_hits"]["value"] == 4
+
+        asyncio.run(main())
+
+    def test_no_cache_evaluates_every_repeat(self, cheap_result):
+        sizes = []
+        config = ServerConfig(port=0, jobs=1, linger_ms=1.0, no_cache=True)
+        with ServerThread(
+            config, evaluate_batch=fake_rows(cheap_result, record=sizes)
+        ) as handle:
+            client = ServeClient(port=handle.port)
+            replies = [client.evaluate_response(cheap_spec()) for _ in range(3)]
+            metrics = client.metrics()["metrics"]
+        assert [reply[1]["x-repro-cache"] for reply in replies] == ["miss"] * 3
+        assert sizes == [1, 1, 1]
+        assert metrics["serve.batches"]["value"] == 3
+        assert "serve.memo_hits" not in metrics
+
+    def test_draining_worker_answers_503_to_a_memoized_spec(
+        self, cheap_result, tmp_path
+    ):
+        async def main():
+            server = ReproServer(
+                ServerConfig(port=0, jobs=1, cache_dir=tmp_path),
+                evaluate_batch=fake_rows(cheap_result),
+            )
+            await server.start()
+            request = _evaluate_request(cheap_spec().to_dict())
+            first = await server._route(request)
+            await server.shutdown()
+            return first, await server._route(request), server.metrics.snapshot()
+
+        first, second, snapshot = asyncio.run(main())
+        assert first.startswith(b"HTTP/1.1 200 ")
+        assert second.startswith(b"HTTP/1.1 503 ")
+        assert json.loads(second.partition(b"\r\n\r\n")[2])["error"]["code"] == "draining"
+        assert snapshot["serve.requests_rejected_draining"]["value"] == 1
+        assert "serve.memo_hits" not in snapshot
+
+
 class TestHttpIntrospection:
     def test_healthz_shape(self, live_client):
         health = live_client.healthz()
@@ -1001,3 +1152,126 @@ class TestConnectionLoop:
             stopper.join(timeout=5)
             assert not stopper.is_alive(), "stop() waited on an idle client"
             assert idle.recv(1) == b""
+
+    def test_kept_alive_connection_answers_requests_in_turn(self, cheap_result):
+        config = ServerConfig(port=0, jobs=1, no_cache=True)
+        keep = wire.kept_alive(wire.request_bytes(
+            "POST", "/v1/evaluate", json.dumps(cheap_spec().to_dict()).encode()
+        ))
+        with ServerThread(config, evaluate_batch=fake_rows(cheap_result)) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as sock:
+                replies = []
+                for message in (keep, keep, wire.request_bytes("GET", "/healthz")):
+                    sock.sendall(message)
+                    replies.append(_read_response(sock))
+                assert sock.recv(1) == b""
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        assert [headers["connection"] for _, headers, _ in replies] == [
+            "keep-alive", "keep-alive", "close"
+        ]
+        assert replies[0][2] == replies[1][2]
+
+    def test_idle_kept_alive_connection_closes_without_a_byte(
+        self, cheap_result, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.http.READ_TIMEOUT_S", 0.5)
+        config = ServerConfig(port=0, jobs=1, no_cache=True)
+        keep = wire.kept_alive(wire.request_bytes("GET", "/healthz"))
+        with ServerThread(config, evaluate_batch=fake_rows(cheap_result)) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as sock:
+                sock.sendall(keep)
+                assert _read_response(sock)[1]["connection"] == "keep-alive"
+                began = time.monotonic()
+                assert sock.recv(65536) == b""
+                assert time.monotonic() - began < 5
+            # A request that stalls after its request line still gets a 408.
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as sock:
+                sock.sendall(keep)
+                _read_response(sock)
+                sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+                status, headers, _ = _read_response(sock)
+                assert (status, headers["connection"]) == (408, "close")
+                assert sock.recv(65536) == b""
+            snapshot = handle.server.metrics.snapshot()
+        assert snapshot["serve.protocol_errors.408"]["value"] == 1
+
+
+def _read_response(sock: socket.socket) -> tuple[int, dict[str, str], bytes]:
+    """One whole response from ``sock``, framed by its Content-Length."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-head: {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    while len(body) < int(headers["content-length"]):
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return int(status_line.split()[1]), headers, body
+
+
+def _serve_process(*args: str, stdin: int) -> tuple[subprocess.Popen, int]:
+    """``python -m repro serve --port 0`` with ``args``; its bound port."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "1", *args],
+        env=env, stdin=stdin, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    for line in process.stderr:
+        match = re.search(r"listening on http://[\w.]+:(\d+)", line)
+        if match:
+            return process, int(match.group(1))
+    process.kill()
+    raise AssertionError("repro serve never printed its listen line")
+
+
+def _stop(process: subprocess.Popen) -> None:
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30)
+    process.stderr.close()
+
+
+class TestStdinLifeline:
+    """``--exit-on-stdin-eof`` (the router's workers) drains at end of
+    file on stdin; without it, stdin does not matter."""
+
+    def test_standalone_server_ignores_stdin_at_eof(self):
+        process, port = _serve_process("--no-cache", stdin=subprocess.DEVNULL)
+        try:
+            time.sleep(0.2)
+            status, _, _ = ServeClient(port=port).evaluate_response(cheap_spec())
+            assert status == 200
+            assert process.poll() is None
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            _stop(process)
+
+    def test_flag_drains_at_stdin_eof(self):
+        process, port = _serve_process(
+            "--no-cache", "--exit-on-stdin-eof", stdin=subprocess.PIPE
+        )
+        try:
+            assert ServeClient(port=port).evaluate_response(cheap_spec())[0] == 200
+            process.stdin.close()
+            assert process.wait(timeout=30) == 0
+            assert "drained cleanly (1 requests completed)" in process.stderr.read()
+        finally:
+            _stop(process)
+
+    def test_flag_is_not_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "stdin" not in capsys.readouterr().out
+        assert build_parser().parse_args(["serve", "--exit-on-stdin-eof"]).exit_on_stdin_eof

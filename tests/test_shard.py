@@ -15,7 +15,12 @@ Two layers, mirroring ``tests/test_serve.py``:
 
 import asyncio
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -27,9 +32,11 @@ from repro.api import ScenarioSpec, spec_key
 from repro.serve import (
     ServeClient,
     ServerConfig,
+    ServerThread,
     ShardConfig,
     ShardRouter,
     ShardThread,
+    SubprocessWorkers,
     WorkerUnavailable,
     wire,
 )
@@ -491,6 +498,79 @@ def shard_client(shard_live):
     return ServeClient(port=shard_live.port)
 
 
+class _Running:
+    """Stands in for a worker process that the test runs in-process."""
+
+    pid = os.getpid()
+    stdin = None
+
+    def poll(self):
+        return None
+
+    def send_signal(self, signum):
+        pass
+
+    def wait(self, timeout=None):
+        return 0
+
+
+def _workers_over(port: int) -> SubprocessWorkers:
+    """Subprocess transport whose one slot is the in-process server at
+    ``port``."""
+    workers = SubprocessWorkers(router_config(workers=1))
+    workers.slots[0].process = _Running()
+    workers.slots[0].port = port
+    return workers
+
+
+class TestPooledHops:
+    """Router-to-worker connections are kept alive and reused; one the
+    worker closed while idle is retried on a fresh connection."""
+
+    def test_sequential_forwards_reuse_one_connection(self):
+        with ServerThread(ServerConfig(port=0, jobs=1, no_cache=True)) as handle:
+
+            async def main():
+                workers = _workers_over(handle.port)
+                pool = workers.slots[0].pool
+                body = json.dumps(cheap_spec().to_dict()).encode()
+                answers, held = [], []
+                for _ in range(3):
+                    answers.append(await workers.forward(0, "POST", "/v1/evaluate", body))
+                    held.append(list(pool))
+                await workers.stop()
+                return answers, held, pool
+
+            answers, held, pool = asyncio.run(main())
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        assert len({body for _, _, body in answers}) == 1
+        assert all(headers["connection"] == "keep-alive" for _, headers, _ in answers)
+        assert len(held[0]) == 1 and held == [held[0]] * 3
+        assert pool == []
+
+    def test_connection_closed_while_idle_is_retried(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.http.READ_TIMEOUT_S", 0.2)
+        with ServerThread(ServerConfig(port=0, jobs=1, no_cache=True)) as handle:
+
+            async def main():
+                workers = _workers_over(handle.port)
+                router = ShardRouter(router_config(workers=1), workers=workers)
+                first = await router._route(evaluate_request(cheap_spec()))
+                (stale,) = workers.slots[0].pool
+                await _poll(stale[0].at_eof)  # the worker closes it, idle
+                second = await router._route(evaluate_request(cheap_spec()))
+                (fresh,) = workers.slots[0].pool
+                await workers.stop()
+                return first, second, fresh is not stale, router.metrics.snapshot()
+
+            first, second, replaced, snapshot = asyncio.run(main())
+        first, second = parse_response(first), parse_response(second)
+        assert first[0] == second[0] == 200
+        assert first[2] == second[2]
+        assert replaced
+        assert "serve.router_failovers" not in snapshot
+
+
 class TestSubprocessEndToEnd:
     def test_response_byte_identical_to_single_process_cli_and_golden(
         self, shard_client
@@ -544,6 +624,18 @@ class TestSubprocessEndToEnd:
         assert payload["tier_disk_cache"]["workers"] == 2
         assert payload["tier_disk_cache"]["entries"] >= 1
 
+    def test_memo_hits_count_in_tier_cache(self, shard_client):
+        spec = cheap_spec(11)
+        before = shard_client.metrics()["tier_cache"]["hits"]
+        first = shard_client.evaluate_response(spec)
+        second = shard_client.evaluate_response(spec)
+        assert first[2] == second[2]
+        assert second[1]["x-repro-cache"] == "hit"
+        payload = shard_client.metrics()
+        assert payload["tier_cache"]["hits"] == before + 1
+        owner = payload["workers"][second[1]["x-repro-worker"]]["metrics"]
+        assert owner["serve.memo_hits"]["value"] >= 1
+
     def test_priority_header_reaches_worker_metrics(self, shard_client):
         shard_client.evaluate_bytes(cheap_spec(7), priority="batch")
         payload = shard_client.metrics()
@@ -579,3 +671,57 @@ class TestReshardByteIdentity:
                 assert body == golden
                 owners[workers] = headers["x-repro-worker"]
         assert owners[1] == "w0"
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class TestWorkersFollowTheirRouter:
+    def test_sigkilled_router_takes_its_worker_down(self, tmp_path):
+        """The worker reads end of file on the stdin pipe its router held,
+        however the router died, and drains and exits: its runtime trace,
+        written only after a clean drain, is there."""
+        src = str(Path(api.__file__).resolve().parent.parent.parent)
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        )
+        router = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "1", "--jobs", "1",
+             "--port", "0", "--no-cache", "--trace-dir", str(tmp_path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            port = None
+            for line in router.stderr:
+                match = re.search(r"router listening on http://[\w.]+:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port is not None, "router never printed its listen line"
+            (worker,) = ServeClient(port=port).healthz()["workers"]
+            assert _running(worker["pid"])
+            router.kill()
+            router.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while _running(worker["pid"]):
+                assert time.monotonic() < deadline, "worker outlived its router by 10 s"
+                time.sleep(0.05)
+            assert (tmp_path / f"w0-{worker['pid']}.trace.json").is_file()
+        finally:
+            try:
+                os.killpg(router.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            router.wait(timeout=30)
+            router.stderr.close()
