@@ -9,9 +9,9 @@ simulated workload with tracing off and on and asserts the results are
 that an uninstrumented result still serializes byte-identically to a
 result produced with no observability code in the process at all.
 
-The wall-clock layer (``repro.obs.runtime`` + ``repro.obs.log``) makes
-the same promise for the serving tier: with no ``--trace-dir`` the
-shared ``NULL_RUNTIME_TRACER``/``NULL_LOG`` singletons report disabled,
+The wall-clock side (a ``Tracer`` with a clock, plus ``repro.obs.log``)
+makes the same promise for the serving tier: with no ``--trace-dir`` the
+shared ``NULL_TRACER``/``NULL_LOG`` singletons report disabled,
 guarded call sites construct nothing, and an evaluation produces bytes
 identical to a session with no runtime wiring at all.
 """
@@ -21,8 +21,7 @@ import time
 from _helpers import emit
 from repro.api import FabricSession, FailurePlan, ScenarioSpec, figure6_slices
 from repro.obs.log import DEBUG, NULL_LOG
-from repro.obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 def _sim_spec(outputs=("telemetry",)):
@@ -84,7 +83,7 @@ def _cost_spec(seed=0):
 def test_runtime_tracer_off_bytes_identical(benchmark):
     """A session with the default (off) runtime tracer produces the same
     bytes as one traced with wall-clock spans — and records nothing."""
-    traced_runtime = RuntimeTracer("bench")
+    traced_runtime = Tracer("bench", clock=time.time)
     traced = FabricSession(runtime=traced_runtime).run(_cost_spec())
 
     def run_untraced():
@@ -92,12 +91,12 @@ def test_runtime_tracer_off_bytes_identical(benchmark):
 
     untraced = benchmark.pedantic(run_untraced, rounds=5, iterations=1)
     assert untraced.to_json() == traced.to_json()
-    assert NULL_RUNTIME_TRACER.events == ()
+    assert NULL_TRACER.events == ()
     assert len(traced_runtime.spans("session")) >= 1
     emit(
         "Observability — runtime tracer off",
         "untraced evaluation byte-identical to a traced one; "
-        "NULL_RUNTIME_TRACER recorded 0 events, traced session left "
+        "NULL_TRACER recorded 0 events, traced session left "
         f"{len(traced_runtime.spans('session'))} span(s)",
     )
 
@@ -117,7 +116,7 @@ def test_null_log_and_tracer_guards_cost_nothing():
         for _ in range(ITERATIONS):
             if NULL_LOG.enabled_for(DEBUG):  # pragma: no cover
                 hits += 1
-            if NULL_RUNTIME_TRACER.enabled:  # pragma: no cover
+            if NULL_TRACER.enabled:  # pragma: no cover
                 hits += 1
         return hits
 

@@ -84,7 +84,7 @@ def start_router(*args: str) -> tuple[subprocess.Popen, int]:
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.obs.prometheus import parse_exposition
-    from repro.obs.runtime import merge_traces, write_merged
+    from repro.obs.tracer import merge_traces, write_merged
     from repro.serve import ServeClient
 
     request_payload = (GOLDEN / "serve_request.json").read_bytes()

@@ -249,9 +249,10 @@ class DiskResultCache:
             return RunResult.from_json(text)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt or truncated entry (interrupted writer, disk fault):
-            # treat as a miss and drop it so the next put rewrites it.
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
+            # Corrupt or truncated entry (interrupted writer, disk fault,
+            # JSON nested too deep to decode): treat as a miss and drop
+            # it so the next put rewrites it.
             try:
                 path.unlink()
             except OSError:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..collectives.cost_model import CollectiveCost
-from ..obs.tracer import TraceEvent, Tracer
+from ..obs.tracer import TraceEvent, Tracer, chrome_trace, select
 from .codec import OPTIONAL, Record, decode, encode
 from .spec import ScenarioSpec
 
@@ -648,17 +648,11 @@ class TraceReport(Record):
 
     def spans(self, cat: str | None = None) -> tuple[TraceEvent, ...]:
         """Complete spans, optionally filtered by category."""
-        return tuple(
-            e for e in self.events
-            if e.ph == "X" and (cat is None or e.cat == cat)
-        )
+        return select(self.events, "X", cat)
 
     def instants(self, cat: str | None = None) -> tuple[TraceEvent, ...]:
         """Instant events, optionally filtered by category."""
-        return tuple(
-            e for e in self.events
-            if e.ph == "i" and (cat is None or e.cat == cat)
-        )
+        return select(self.events, "i", cat)
 
     def categories(self) -> tuple[str, ...]:
         """Event categories present, sorted (metadata excluded)."""
@@ -677,18 +671,9 @@ class TraceReport(Record):
         )
 
     def to_chrome(self) -> dict[str, Any]:
-        """The Chrome/Perfetto ``trace_event`` JSON object.
-
-        Events are ordered metadata-first, then by timestamp (stable on
-        ties), matching :meth:`repro.obs.tracer.Tracer.to_chrome`.
-        """
-        ordered = sorted(
-            self.events, key=lambda e: (0 if e.ph == "M" else 1, e.ts_us)
-        )
-        return {
-            "displayTimeUnit": "ns",
-            "traceEvents": [e.to_dict() for e in ordered],
-        }
+        """The Chrome/Perfetto ``trace_event`` JSON object, ordered as a
+        sim-time :class:`~repro.obs.tracer.Tracer` exports it."""
+        return chrome_trace(self.events)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,10 @@ from ..analysis.congestion_report import (
     analyze_rack_congestion,
 )
 from ..analysis.utilization import slice_utilization
-from ..kernels import STATS as _KERNEL_STATS
+from ..kernels import metered
 from ..obs.log import EventLog
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer
+from ..obs.tracer import NULL_TRACER, Tracer
 from ..topology.electrical import ElectricalInterconnect
 from ..topology.slices import Slice, SliceAllocator
 from ..topology.torus import Torus
@@ -64,11 +64,15 @@ class FabricSession:
             histogram per fabric, plus ``kernel.<op>.calls`` /
             ``.seconds`` counters for kernel hot-path time). ``None``
             reports nothing.
-        runtime: optional wall-clock
-            :class:`~repro.obs.runtime.RuntimeTracer` the session emits
-            cache-probe and evaluation spans into (the serving tier
-            passes its per-process tracer; defaults to the zero-overhead
-            :data:`~repro.obs.runtime.NULL_RUNTIME_TRACER`).
+        runtime: optional wall-clock :class:`~repro.obs.tracer.Tracer`
+            the session emits cache-probe and evaluation spans into (the
+            serving tier passes its per-process tracer; defaults to the
+            zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`).
+
+    While metrics or tracing is on, each evaluation runs under its own
+    kernel registry (:func:`repro.kernels.metered`): the kernel calls it
+    makes, and no other thread's, land in ``metrics`` and in the
+    ``session.evaluate`` span's args.
         log: optional :class:`~repro.obs.log.EventLog` for the fleet and
             tenancy simulations' ``*.progress`` heartbeats; a result
             served from the cache runs no simulation and sends none.
@@ -78,10 +82,10 @@ class FabricSession:
         self,
         result_cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
         log: EventLog | None = None,
     ) -> None:
-        self.runtime = runtime if runtime is not None else NULL_RUNTIME_TRACER
+        self.runtime = runtime if runtime is not None else NULL_TRACER
         self.log = log
         self._backends: dict[str, FabricBackend] = {}
         self._tori: dict[tuple[int, ...], Torus] = {}
@@ -223,29 +227,35 @@ class FabricSession:
         }
         started = time.perf_counter()
         eval_start = runtime.now() if runtime.enabled else 0.0
-        kernel_before = (
-            _KERNEL_STATS.snapshot()
+        kernels = (
+            MetricsRegistry()
             if self.metrics is not None or runtime.enabled
             else None
         )
         refusals = getattr(backend, "refusals", {})
         sections: dict[str, object] = {}
-        for output in spec.outputs:
-            if output == "utilization":
-                sections["utilization"] = self._utilization(spec)
-                continue
-            if output in refusals:
-                raise UnsupportedOutput(refusals[output])
-            method = getattr(backend, methods[output], None)
-            if method is None:
-                raise UnsupportedOutput(
-                    f"backend {spec.fabric!r} does not implement the"
-                    f" {output!r} output"
-                )
-            sections[output] = method(self, spec)
+        with metered(kernels):
+            for output in spec.outputs:
+                if output == "utilization":
+                    sections["utilization"] = self._utilization(spec)
+                    continue
+                if output in refusals:
+                    raise UnsupportedOutput(refusals[output])
+                method = getattr(backend, methods[output], None)
+                if method is None:
+                    raise UnsupportedOutput(
+                        f"backend {spec.fabric!r} does not implement the"
+                        f" {output!r} output"
+                    )
+                sections[output] = method(self, spec)
         result = RunResult(spec=spec, fabric=backend.name, **sections)
         elapsed = time.perf_counter() - started
-        if runtime.enabled and kernel_before is not None:
+        kernel_time = (
+            {name: kernels.counter(name).value for name in kernels.names()}
+            if kernels is not None
+            else {}
+        )
+        if runtime.enabled:
             runtime.complete(
                 "session.evaluate",
                 "session",
@@ -254,16 +264,19 @@ class FabricSession:
                 args={
                     "fabric": spec.fabric,
                     "outputs": len(spec.outputs),
-                    **self._kernel_deltas(kernel_before),
+                    **{
+                        name: int(value) if name.endswith(".calls") else round(value, 9)
+                        for name, value in kernel_time.items()
+                    },
                 },
             )
-        if self.metrics is not None and kernel_before is not None:
-            self._report_kernel_stats(kernel_before)
         self._eval_seconds += elapsed
         stats = self._fabric_stats(spec.fabric)
         stats["misses"] += 1
         stats["eval_seconds"] += elapsed
         if self.metrics is not None:
+            for name, value in kernel_time.items():
+                self.metrics.counter(name).inc(value)
             self.metrics.counter(f"session.{spec.fabric}.cache_misses").inc()
             self.metrics.histogram(
                 f"session.{spec.fabric}.eval_seconds"
@@ -271,45 +284,6 @@ class FabricSession:
         self.runs_executed += 1
         self.result_cache.put(key, result)
         return result
-
-    @staticmethod
-    def _kernel_deltas(
-        before: dict[str, dict[str, float]]
-    ) -> dict[str, float]:
-        """Per-op kernel time spent since ``before``, as flat span args
-        (``kernel.<op>.calls`` / ``.seconds``)."""
-        deltas: dict[str, float] = {}
-        for key, after in _KERNEL_STATS.snapshot().items():
-            prior = before.get(key, {"calls": 0, "seconds": 0.0})
-            calls = after["calls"] - prior["calls"]
-            if calls <= 0:
-                continue
-            deltas[f"kernel.{key}.calls"] = calls
-            deltas[f"kernel.{key}.seconds"] = round(
-                max(0.0, after["seconds"] - prior["seconds"]), 9
-            )
-        return deltas
-
-    def _report_kernel_stats(
-        self, before: dict[str, dict[str, float]]
-    ) -> None:
-        """Report kernel hot-path time spent since ``before`` into metrics.
-
-        The process-wide :data:`repro.kernels.STATS` accumulator is
-        snapshotted around each evaluation; only the *delta* is credited,
-        so concurrent sessions sharing the accumulator each report their
-        own work.
-        """
-        for key, after in _KERNEL_STATS.snapshot().items():
-            prior = before.get(key, {"calls": 0, "seconds": 0.0})
-            calls = after["calls"] - prior["calls"]
-            seconds = after["seconds"] - prior["seconds"]
-            if calls <= 0:
-                continue
-            self.metrics.counter(f"kernel.{key}.calls").inc(calls)
-            self.metrics.counter(f"kernel.{key}.seconds").inc(
-                max(0.0, seconds)
-            )
 
     def cache_stats(self) -> CacheStats:
         """Result-cache counters and evaluation seconds so far.

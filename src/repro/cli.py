@@ -695,7 +695,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     and spans carry the request's ``trace_id`` in their args, so one
     request's router hop and worker evaluation line up side by side.
     """
-    from .obs.runtime import write_merged
+    from .obs.tracer import write_merged
 
     if args.action == "merge":
         missing = [path for path in args.files if not Path(path).is_file()]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.repair import broken_rings
-from ..kernels import STATS
+from ..kernels import timed
 from ..kernels.paths import (
     evaluate_all_free_chips_vectorized,
     evaluate_free_chip_vectorized,
@@ -201,7 +201,7 @@ class ElectricalRecoveryAnalysis:
                 f"free chip {free_chip} is the failed chip; a failed chip "
                 "cannot replace itself"
             )
-        with STATS.timed("repair"):
+        with timed("repair"):
             return evaluate_free_chip_vectorized(
                 self, slc, failed, free_chip, extra_busy
             )
@@ -220,7 +220,7 @@ class ElectricalRecoveryAnalysis:
             InvalidChipError: for a failed chip outside the torus.
         """
         self._require_in_torus(failed)
-        with STATS.timed("repair"):
+        with timed("repair"):
             return evaluate_all_free_chips_vectorized(self, slc, failed)
 
     def congestion_free_replacement_exists(

@@ -8,59 +8,52 @@ operations on the same operands in the same order as the straightforward
 loop it replaced, so its results are bit-identical to that loop. The
 loops live on as test oracles under ``tests/oracles/``, where property
 tests assert exact equality against them.
+
+The kernel call sites time themselves with :func:`timed`, which charges
+``kernel.<op>.calls`` / ``.seconds`` counters to the
+:class:`~repro.obs.metrics.MetricsRegistry` that :func:`metered`
+installed. :class:`~repro.api.session.FabricSession` installs one per
+evaluation it meters; the registry lives in a context variable, so an
+evaluation on another thread charges its own. Outside any, a kernel call
+records nothing. Timing is observability only — it never influences
+results.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
-__all__ = ["KernelStats", "STATS"]
+from ..obs.metrics import MetricsRegistry
+
+__all__ = ["metered", "timed"]
+
+_METER: ContextVar[MetricsRegistry | None] = ContextVar("kernel_meter", default=None)
 
 
-class KernelStats:
-    """Per-op call counters and accumulated seconds.
-
-    The process-wide :data:`STATS` instance is fed by the kernel call
-    sites; :class:`~repro.api.session.FabricSession` snapshots it around
-    each evaluation and reports the deltas into its metrics registry
-    (``kernel.<op>.calls`` / ``.seconds``). Timing is observability
-    only — it never influences results.
-    """
-
-    __slots__ = ("calls", "seconds")
-
-    def __init__(self) -> None:
-        self.calls: dict[str, int] = {}
-        self.seconds: dict[str, float] = {}
-
-    def record(self, op: str, elapsed_s: float) -> None:
-        """Charge one call of ``op`` (``elapsed_s`` wall seconds)."""
-        self.calls[op] = self.calls.get(op, 0) + 1
-        self.seconds[op] = self.seconds.get(op, 0.0) + elapsed_s
-
-    @contextmanager
-    def timed(self, op: str) -> Iterator[None]:
-        """Time a block and charge it to ``op``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(op, time.perf_counter() - started)
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """JSON-safe ``{"<op>": {"calls": n, "seconds": s}}``."""
-        return {
-            op: {"calls": self.calls[op], "seconds": self.seconds[op]}
-            for op in sorted(self.calls)
-        }
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.calls.clear()
-        self.seconds.clear()
+@contextmanager
+def metered(registry: MetricsRegistry | None) -> Iterator[None]:
+    """Charge the kernel calls made inside the block to ``registry``
+    (``None``: record none)."""
+    token = _METER.set(registry)
+    try:
+        yield
+    finally:
+        _METER.reset(token)
 
 
-#: Process-wide kernel-time accounting.
-STATS = KernelStats()
+@contextmanager
+def timed(op: str) -> Iterator[None]:
+    """Time a block and charge it to ``op`` in the installed registry."""
+    registry = _METER.get()
+    if registry is None:
+        yield
+        return
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        registry.counter(f"kernel.{op}.calls").inc()
+        registry.counter(f"kernel.{op}.seconds").inc(time.perf_counter() - started)

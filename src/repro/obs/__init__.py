@@ -5,31 +5,33 @@ reconfiguration windows, congestion-free failure recovery, bandwidth
 steered into the active torus dimension — and this package is where the
 stack records them as data rather than prose:
 
-* :class:`Tracer` collects structured spans and instant events from the
-  simulator (flow start/finish, rate rebalances, reconfiguration and
-  alpha windows, schedule phase boundaries) and from the fabric backends
-  (failure injection, repair circuits, rack migration), exportable as
-  Chrome/Perfetto ``trace_event`` JSON. :data:`NULL_TRACER` is the
-  zero-overhead off switch: call sites guard emission behind
-  ``tracer.enabled``, so an untraced run does no extra work and its
-  results stay byte-identical (CI enforces this against the goldens).
+* :class:`Tracer` collects structured spans and instant events,
+  exportable as Chrome/Perfetto ``trace_event`` JSON, on one of two
+  clocks. On simulation time it records the simulator (flow
+  start/finish, rate rebalances, reconfiguration and alpha windows,
+  schedule phase boundaries) and the fabric backends (failure injection,
+  repair circuits, rack migration). On an injected wall clock it records
+  the serving tier — admission wait, batch linger, router→worker proxy
+  hops, session evaluation, cache probes — keyed by an
+  ``X-Repro-Trace-Id`` propagated across processes, with per-process
+  trace files merged into one timeline by :func:`merge_traces` /
+  ``repro obs merge``. :data:`NULL_TRACER` is the zero-overhead off
+  switch: call sites guard emission behind ``tracer.enabled``, so an
+  untraced run does no extra work and its results stay byte-identical
+  (CI enforces this against the goldens).
 * :class:`MetricsRegistry` holds counters, gauges and histograms with a
   deterministic, name-sorted snapshot — threaded through
-  :class:`~repro.api.session.FabricSession` (per-backend memoization and
-  evaluation timing) and :func:`~repro.api.batch.run_many` (per-stage
-  and per-worker sweep statistics).
+  :class:`~repro.api.session.FabricSession` (per-backend memoization,
+  evaluation timing and the ``kernel.<op>.calls``/``.seconds`` an
+  evaluation's kernels charge) and :func:`~repro.api.batch.run_many`
+  (per-stage and per-worker sweep statistics).
+  :func:`~repro.obs.metrics.nearest_rank` is the one percentile
+  definition.
 
-Both surfaces reach the experiment API as opt-in ``trace``/``metrics``
-result sections and the CLI as ``repro trace`` and ``--metrics``.
+Both reach the experiment API as opt-in ``trace``/``metrics`` result
+sections and the CLI as ``repro trace`` and ``--metrics``. Alongside
+them:
 
-The *runtime* half of the package observes the serving tier in wall
-clock rather than simulation time:
-
-* :class:`RuntimeTracer` (:mod:`repro.obs.runtime`) emits wall-clock
-  spans — admission wait, batch linger, router→worker proxy hops,
-  session evaluation, cache probes — keyed by an ``X-Repro-Trace-Id``
-  propagated across processes, with per-process trace files merged into
-  one Perfetto timeline by :func:`merge_traces` / ``repro obs merge``.
 * :class:`EventLog` (:mod:`repro.obs.log`) is the structured JSONL
   event log the serve tier narrates itself through (request
   admitted/shed/coalesced/failed-over, worker spawn/death/respawn,
@@ -43,13 +45,7 @@ clock rather than simulation time:
 from .log import EVENT_FIELDS, NULL_LOG, EventLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .prometheus import parse_exposition, render_exposition
-from .runtime import (
-    NULL_RUNTIME_TRACER,
-    RuntimeTracer,
-    merge_traces,
-    new_trace_id,
-)
-from .tracer import NULL_TRACER, TraceEvent, Tracer
+from .tracer import NULL_TRACER, TraceEvent, Tracer, merge_traces, new_trace_id
 
 __all__ = [
     "TraceEvent",
@@ -59,8 +55,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RuntimeTracer",
-    "NULL_RUNTIME_TRACER",
     "merge_traces",
     "new_trace_id",
     "EventLog",

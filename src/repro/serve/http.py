@@ -21,6 +21,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,7 +29,7 @@ from ..obs import log as obs_log
 from ..obs import prometheus
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer, new_trace_id, valid_trace_id
+from ..obs.tracer import NULL_TRACER, Tracer, new_trace_id, valid_trace_id
 from . import wire
 
 __all__ = [
@@ -56,7 +57,7 @@ class HttpFrontEnd:
     and ``async _drain()`` (once every accepted request is answered, or
     after a failed start). The listener binds ``config.host`` and
     ``config.port``; ``port`` is the bound one. ``log`` and ``runtime``
-    default to ``NULL_LOG`` and ``NULL_RUNTIME_TRACER``.
+    default to ``NULL_LOG`` and ``NULL_TRACER``.
     """
 
     def __init__(
@@ -64,12 +65,12 @@ class HttpFrontEnd:
         config: Any,
         metrics: MetricsRegistry | None = None,
         log: EventLog | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
     ) -> None:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.log = log if log is not None else NULL_LOG
-        self.runtime = runtime if runtime is not None else NULL_RUNTIME_TRACER
+        self.runtime = runtime if runtime is not None else NULL_TRACER
         self.port: int | None = None
         self._server: asyncio.Server | None = None
         self._handlers: set[asyncio.Task] = set()
@@ -333,7 +334,7 @@ class LoopThread:
 
 
 def run_until_signal(
-    build: Callable[[EventLog, RuntimeTracer], HttpFrontEnd],
+    build: Callable[[EventLog, Tracer], HttpFrontEnd],
     *,
     name: str,
     log_level: str,
@@ -353,7 +354,7 @@ def run_until_signal(
     a worker goes down with its router however the router dies.
     """
     log = EventLog(sys.stderr, level=log_level, source=name)
-    runtime = RuntimeTracer(name) if trace_dir is not None else NULL_RUNTIME_TRACER
+    runtime = Tracer(name, clock=time.time) if trace_dir is not None else NULL_TRACER
 
     async def main() -> int:
         front = build(log, runtime)

@@ -67,7 +67,7 @@ from ..obs import log as obs_log
 from ..obs import prometheus
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import NULL_RUNTIME_TRACER, RuntimeTracer
+from ..obs.tracer import NULL_TRACER, Tracer
 from . import wire
 from .http import HttpFrontEnd, LoopThread, run_until_signal
 
@@ -126,7 +126,7 @@ class ServerConfig:
             entry count (``None`` = unbounded).
         cache_max_bytes: same cap in payload bytes.
         trace_dir: directory the process writes its wall-clock
-            :class:`~repro.obs.runtime.RuntimeTracer` timeline into on
+            :class:`~repro.obs.tracer.Tracer` timeline into on
             drain (``None`` = runtime tracing off, the zero-overhead
             default).
         trace_name: process track label inside the trace file
@@ -340,8 +340,11 @@ class EvaluationService:
         metrics: the registry ``/metrics`` snapshots (queue depth,
             batch-size and latency histograms, admission counters).
         log: the structured event log (``NULL_LOG`` when unset).
-        runtime: the wall-clock tracer (``NULL_RUNTIME_TRACER`` when
-            unset — the zero-overhead default).
+        runtime: the :class:`~repro.obs.tracer.Tracer` on the wall
+            clock (``NULL_TRACER`` when unset — the zero-overhead
+            default), shared with the session, whose
+            ``session.evaluate`` spans carry the ``kernel.*`` counters of
+            that evaluation alone, whichever executor thread ran it.
     """
 
     def __init__(
@@ -350,12 +353,12 @@ class EvaluationService:
         metrics: MetricsRegistry | None = None,
         evaluate_batch: EvaluateBatch | None = None,
         log: EventLog | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
     ) -> None:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.log = log if log is not None else NULL_LOG
-        self.runtime = runtime if runtime is not None else NULL_RUNTIME_TRACER
+        self.runtime = runtime if runtime is not None else NULL_TRACER
         self._evaluate_batch = evaluate_batch or _default_evaluate_batch
         self._result_cache = self._build_cache(config, self.log)
         self._sessions = [
@@ -746,7 +749,7 @@ class ReproServer(HttpFrontEnd):
         metrics: MetricsRegistry | None = None,
         evaluate_batch: EvaluateBatch | None = None,
         log: EventLog | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
     ) -> None:
         super().__init__(config, metrics, log, runtime)
         self.service = EvaluationService(
@@ -870,7 +873,7 @@ class ServerThread(LoopThread):
         metrics: MetricsRegistry | None = None,
         evaluate_batch: EvaluateBatch | None = None,
         log: EventLog | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
     ) -> None:
         super().__init__(
             functools.partial(ReproServer, config, metrics, evaluate_batch, log, runtime),

@@ -60,14 +60,14 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import IO, Any, Sequence
 
 from ..api.cache import default_cache_dir, spec_key, tier_cache_stats
 from ..obs import log as obs_log
 from ..obs import prometheus
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import RuntimeTracer
+from ..obs.tracer import Tracer
 from . import wire
 from .http import HttpFrontEnd, LoopThread, run_until_signal
 from .service import (
@@ -277,6 +277,7 @@ class _WorkerSlot:
     log_tail: deque = field(default_factory=lambda: deque(maxlen=50))
     pool: list[_Connection] = field(default_factory=list)
     pool_process: subprocess.Popen | None = None
+    drain: threading.Thread | None = None
 
     @property
     def name(self) -> str:
@@ -367,8 +368,8 @@ class SubprocessWorkers:
         with self._spawn_locks[slot.index]:
             if self._stopping or slot.alive:
                 return
-            if slot.process is not None and slot.process.stdin is not None:
-                slot.process.stdin.close()
+            if slot.process is not None:
+                self._release(slot)
             # The stdin pipe's write end stays with the router alone
             # (pipes are not inherited by the other workers): the worker
             # reads end of file when the router exits, by any means.
@@ -395,6 +396,8 @@ class SubprocessWorkers:
             if port is None:
                 process.kill()
                 process.wait(timeout=10)
+                process.stdin.close()
+                process.stderr.close()
                 tail = "\n".join(slot.log_tail)
                 raise RuntimeError(
                     f"worker {slot.name} never reported a port; log tail:\n"
@@ -402,12 +405,13 @@ class SubprocessWorkers:
                 )
             # Keep draining stderr so the worker never blocks on a full
             # pipe; the tail stays available for diagnostics.
-            threading.Thread(
+            slot.drain = threading.Thread(
                 target=self._drain_stderr,
-                args=(process, slot.log_tail),
+                args=(process.stderr, slot.log_tail),
                 name=f"repro-shard-{slot.name}-stderr",
                 daemon=True,
-            ).start()
+            )
+            slot.drain.start()
             slot.process = process
             slot.port = port
             if self.log.enabled_for(obs_log.INFO):
@@ -416,13 +420,20 @@ class SubprocessWorkers:
                 )
 
     @staticmethod
-    def _drain_stderr(process: subprocess.Popen, tail: deque) -> None:
-        assert process.stderr is not None
-        try:
-            for line in process.stderr:
+    def _drain_stderr(stream: IO[str], tail: deque) -> None:
+        with stream:  # closed at end of file: the worker has exited
+            for line in stream:
                 tail.append(line.rstrip())
-        except ValueError:  # pragma: no cover - stream closed during stop
-            pass
+
+    @staticmethod
+    def _release(slot: _WorkerSlot) -> None:
+        """Close the router's ends of an exited worker's pipes: stdin
+        here, stderr once its drain thread reads end of file."""
+        assert slot.process is not None
+        if slot.process.stdin is not None:
+            slot.process.stdin.close()
+        if slot.drain is not None:
+            slot.drain.join(timeout=10)
 
     async def start(self) -> None:
         """Spawn every worker slot concurrently."""
@@ -472,8 +483,7 @@ class SubprocessWorkers:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     slot.process.kill()
                     slot.process.wait(timeout=10)
-                if slot.process.stdin is not None:
-                    slot.process.stdin.close()
+                self._release(slot)
 
     async def stop(self) -> None:
         """Close the pooled connections, SIGTERM every worker (each
@@ -610,7 +620,7 @@ class ShardRouter(HttpFrontEnd):
         metrics: MetricsRegistry | None = None,
         workers: Any | None = None,
         log: EventLog | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
     ) -> None:
         super().__init__(config, metrics, log, runtime)
         self.workers = (
@@ -989,7 +999,7 @@ class ShardThread(LoopThread):
         metrics: MetricsRegistry | None = None,
         workers: Any | None = None,
         log: EventLog | None = None,
-        runtime: RuntimeTracer | None = None,
+        runtime: Tracer | None = None,
     ) -> None:
         super().__init__(
             functools.partial(ShardRouter, config, metrics, workers, log, runtime),

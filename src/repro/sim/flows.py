@@ -17,7 +17,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..kernels import STATS
+from ..kernels import timed
 from ..kernels.incidence import FlowIncidence, LinkSpace
 from ..kernels.waterfill import waterfill_rates
 
@@ -129,7 +129,7 @@ def max_min_rates(
             the flow forever and — if negative — credit capacity back to
             the link, oversubscribing it for everyone else).
     """
-    with STATS.timed("waterfill"):
+    with timed("waterfill"):
         check_capacities(capacity_bytes_per_s)
         active = list(flows)
         for flow in active:

@@ -16,7 +16,7 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from ..kernels import STATS
+from ..kernels import timed
 from ..kernels.incidence import FlowIncidence, LinkSpace
 from ..kernels.waterfill import waterfill_rates
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -276,7 +276,7 @@ class FlowNetwork:
     def _compute_rates(self, flows: list[Flow]) -> None:
         """Recompute ``flows``' rates with the water-filling kernel, over
         the capacities :meth:`_stale_flows` validated this settle."""
-        with STATS.timed("waterfill"):
+        with timed("waterfill"):
             indices = self._flow_indices
             demands = np.fromiter(
                 (

@@ -99,6 +99,16 @@ class TestDiskResultCache:
         cache.put(key, result)
         assert cache.get(key).to_json() == result.to_json()
 
+    def test_entry_nested_too_deep_is_a_miss(self, tmp_path):
+        spec, result = self.evaluated()
+        cache = DiskResultCache(tmp_path)
+        key = spec_key(spec)
+        cache.put(key, result)
+        path = cache._path(key)
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert cache.get(key) is None
+        assert not path.exists()
+
     def test_truncated_entry_is_a_miss(self, tmp_path):
         spec, result = self.evaluated()
         cache = DiskResultCache(tmp_path)

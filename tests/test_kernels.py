@@ -10,24 +10,32 @@ corners (single flow, single link, all-capped, duplicate links) are
 pinned explicitly.
 """
 
+import contextlib
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.kernels
 from repro.api import (
     FabricSession,
     FailurePlan,
     ScenarioSpec,
     figure6_slices,
+    register_backend,
+    unregister_backend,
 )
 from repro.cli import main
 from repro.collectives.cost_model import _bucket_stages
 from repro.failures.inject import InvalidChipError
 from repro.failures.recovery import ElectricalRecoveryAnalysis
-from repro.kernels import KernelStats, STATS
 from repro.kernels.incidence import FlowIncidence, LinkSpace
 from repro.kernels.stagecosts import bucket_stage_arrays
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.sim import network as network_module
 from repro.sim.engine import EventEngine
 from repro.sim.flows import Flow, max_min_rates
@@ -66,13 +74,15 @@ class TestKernelSelection:
         assert "error:" in capsys.readouterr().err
 
     def test_stats_accounting(self):
-        stats = KernelStats()
-        stats.record("waterfill", 0.5)
-        stats.record("waterfill", 0.25)
-        snap = stats.snapshot()
-        assert snap == {"waterfill": {"calls": 2, "seconds": 0.75}}
-        stats.reset()
-        assert stats.snapshot() == {}
+        """One ``max_min_rates`` call inside a metered evaluation counts
+        one ``waterfill`` call."""
+        registry = MetricsRegistry()
+        with _kernel_backend("one-fill", waterfills=1) as spec:
+            FabricSession(metrics=registry).run(spec)
+        kernel = {n: registry.get(n).value for n in registry.names() if n.startswith("kernel.")}
+        assert sorted(kernel) == ["kernel.waterfill.calls", "kernel.waterfill.seconds"]
+        assert kernel["kernel.waterfill.calls"] == 1
+        assert kernel["kernel.waterfill.seconds"] >= 0.0
 
 
 # -- incidence building blocks -------------------------------------------------
@@ -962,6 +972,28 @@ class TestLinkTelemetryRegression:
 # -- session integration -------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _kernel_backend(name, waterfills=0, before=None):
+    """Register a backend whose ``capabilities`` output calls
+    ``max_min_rates`` ``waterfills`` times (after ``before()``, if
+    given); yields a spec that selects it."""
+
+    class KernelCalling:
+        def capability_rows(self, session, spec):
+            if before is not None:
+                before()
+            for _ in range(waterfills):
+                max_min_rates(_build([("f0", ("L0",), None)]), {"L0": 1.0})
+            return (("kernel", "calls"),)
+
+    KernelCalling.name = name
+    register_backend(name, KernelCalling)
+    try:
+        yield ScenarioSpec(fabric=name, outputs=("capabilities",))
+    finally:
+        unregister_backend(name)
+
+
 def _repair_spec():
     return ScenarioSpec(
         fabric="electrical",
@@ -989,7 +1021,64 @@ class TestSessionKernelIntegration:
         assert kernel_names == ["kernel.repair.calls", "kernel.repair.seconds"]
 
     def test_kernel_stats_global_accumulator(self):
-        before = STATS.snapshot().get("waterfill", {"calls": 0})["calls"]
-        max_min_rates(_build([("f0", ("L0",), None)]), {"L0": 1.0})
-        after = STATS.snapshot()["waterfill"]["calls"]
-        assert after == before + 1
+        """There is no process-wide accumulator: a kernel call outside
+        any session records nothing and raises nothing."""
+        assert not hasattr(repro.kernels, "STATS")
+        rates = max_min_rates(_build([("f0", ("L0",), None)]), {"L0": 1.0})
+        assert rates == {"f0": 1.0}
+
+    def test_kernel_time_counted_per_evaluation(self):
+        """A session takes credit only for the kernel calls its own
+        evaluation makes: session A runs no kernel and waits while
+        session B, on this thread, charges two water-filling calls."""
+        entered, release = threading.Event(), threading.Event()
+        a_metrics, b_metrics = MetricsRegistry(), MetricsRegistry()
+        a_tracer = Tracer("a", clock=time.time)
+
+        def wait_for_b():
+            entered.set()
+            assert release.wait(10)
+
+        with _kernel_backend("waits", before=wait_for_b) as a_spec, \
+                _kernel_backend("fills", waterfills=2) as b_spec:
+            a_session = FabricSession(metrics=a_metrics, runtime=a_tracer)
+            a_thread = threading.Thread(target=a_session.run, args=(a_spec,))
+            a_thread.start()
+            assert entered.wait(10)
+            FabricSession(metrics=b_metrics).run(b_spec)
+            release.set()
+            a_thread.join(10)
+        assert not a_thread.is_alive()
+        assert a_session.runs_executed == 1
+        assert b_metrics.counter("kernel.waterfill.calls").value == 2
+        assert [n for n in a_metrics.names() if n.startswith("kernel.")] == []
+        (evaluate,) = [s for s in a_tracer.spans("session") if s.name == "session.evaluate"]
+        assert [k for k, _ in evaluate.args if k.startswith("kernel.")] == []
+
+    def test_kernel_time_per_evaluation_under_thread_churn(self):
+        """More sessions than cores, switching threads every microsecond:
+        each registry counts exactly its own evaluation's calls."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with contextlib.ExitStack() as stack:
+                specs = [
+                    stack.enter_context(_kernel_backend(f"fills-{n}", waterfills=n))
+                    for n in range(1, 7)
+                ]
+                registries = [MetricsRegistry() for _ in specs]
+                threads = [
+                    threading.Thread(
+                        target=FabricSession(metrics=registry).run, args=(spec,)
+                    )
+                    for registry, spec in zip(registries, specs)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        calls = [r.counter("kernel.waterfill.calls").value for r in registries]
+        assert calls == [1, 2, 3, 4, 5, 6]

@@ -1,4 +1,5 @@
-"""Tests for wall-clock request tracing (``repro.obs.runtime``).
+"""Tests for wall-clock request tracing (a ``repro.obs.tracer.Tracer``
+with a clock).
 
 The tracer's clock is injectable, so everything here is deterministic:
 a scripted clock drives spans to exact microsecond timestamps and the
@@ -9,9 +10,11 @@ import json
 
 import pytest
 
-from repro.obs.runtime import (
-    NULL_RUNTIME_TRACER,
-    RuntimeTracer,
+from repro.cli import main
+from repro.obs.tracer import (
+    NULL_TRACER,
+    TraceEvent,
+    Tracer,
     merge_traces,
     new_trace_id,
     valid_trace_id,
@@ -33,7 +36,7 @@ class FakeClock:
 
 
 def make_tracer(name="router", pid=4242, **clock_kwargs):
-    return RuntimeTracer(name, clock=FakeClock(**clock_kwargs), pid=pid)
+    return Tracer(name, clock=FakeClock(**clock_kwargs), pid=pid)
 
 
 class TestTraceIds:
@@ -59,7 +62,7 @@ class TestTraceIds:
         assert not valid_trace_id(value)
 
 
-class TestRuntimeTracer:
+class TestWallClockTracer:
     def test_seeds_process_name_metadata(self):
         tracer = make_tracer(name="w3", pid=77)
         (meta,) = tracer.events
@@ -136,20 +139,20 @@ class TestRuntimeTracer:
         assert len(data["traceEvents"]) == 2  # metadata + span
 
 
-class TestNullRuntimeTracer:
+class TestNullWallClockTracer:
     def test_disabled_and_dropping(self):
-        assert NULL_RUNTIME_TRACER.enabled is False
-        NULL_RUNTIME_TRACER.complete("x", "c", 0.0, 1.0)
-        NULL_RUNTIME_TRACER.instant("x", "c")
-        NULL_RUNTIME_TRACER.thread_name(0, "x")
-        with NULL_RUNTIME_TRACER.span("x", "c") as extra:
+        assert NULL_TRACER.enabled is False
+        NULL_TRACER.complete("x", "c", 0.0, 1.0)
+        NULL_TRACER.instant("x", "c")
+        NULL_TRACER.thread_name(0, "x")
+        with NULL_TRACER.span("x", "c") as extra:
             extra["ignored"] = True
-        assert NULL_RUNTIME_TRACER.events == ()
+        assert NULL_TRACER.events == ()
 
 
 class TestMergeTraces:
     def _write(self, tmp_path, name, pid, spans):
-        tracer = RuntimeTracer(name, clock=FakeClock(), pid=pid)
+        tracer = Tracer(name, clock=FakeClock(), pid=pid)
         for span_name, start, end, trace_id in spans:
             tracer.complete(span_name, "serve", start, end,
                             trace_id=trace_id)
@@ -193,3 +196,61 @@ class TestMergeTraces:
         assert out.exists()
         assert count == 2
         assert json.loads(out.read_text())["displayTimeUnit"] == "ms"
+
+
+class TestUntrustedTraceInput:
+    """``TraceEvent.from_dict`` checks every field of bytes it did not
+    write: files given to ``repro obs merge`` and disk-cache entries."""
+
+    GOOD = {"name": "x", "cat": "c", "ph": "X", "ts": 1.0, "dur": 2.0,
+            "pid": 1, "tid": 0, "args": {"k": 1}}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"name": 5}, {"cat": None}, {"ph": "B"}, {"ph": 1},
+            {"ts": "soon"}, {"ts": float("nan")}, {"ts": True},
+            {"dur": -1.0}, {"dur": float("inf")}, {"dur": "1"},
+            {"pid": 1.5}, {"tid": "0"}, {"args": [1]},
+        ],
+    )
+    def test_bad_field_is_value_error(self, change):
+        with pytest.raises(ValueError, match="trace event"):
+            TraceEvent.from_dict({**self.GOOD, **change})
+
+    @pytest.mark.parametrize("missing", ["name", "cat", "ph", "ts"])
+    def test_missing_field_is_value_error(self, missing):
+        data = {k: v for k, v in self.GOOD.items() if k != missing}
+        with pytest.raises(ValueError, match=missing):
+            TraceEvent.from_dict(data)
+
+    def test_optional_fields_default(self):
+        event = TraceEvent.from_dict({"name": "x", "cat": "c", "ph": "i", "ts": 3})
+        assert (event.dur_us, event.pid, event.tid, event.args) == (None, 0, 0, ())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"traceEvents": 5}',
+            '{"traceEvents": ["span"]}',
+            '{"traceEvents": [{"name": "x", "cat": "c", "ph": "X", "ts": 0,'
+            ' "dur": 1, "args": [1]}]}',
+            '{"traceEvents": [{"name": "a", "cat": "c", "ph": "X", "ts": 0,'
+            ' "dur": 1}, {"name": "b", "cat": "c", "ph": "X", "ts": "late",'
+            ' "dur": 1}]}',
+            "[" * 200_000 + "]" * 200_000,
+        ],
+        ids=["events-not-a-list", "event-a-string", "args-a-list", "ts-a-string",
+             "nested-too-deep"],
+    )
+    def test_merge_cli_answers_error_exit_2(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.trace.json"
+        bad.write_text(payload)
+        good = tmp_path / "good.trace.json"
+        make_tracer().write(good)
+        out = tmp_path / "m.json"
+        assert main(["obs", "merge", str(good), str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "error:" in err and "bad.trace.json" in err
+        assert "Traceback" not in err

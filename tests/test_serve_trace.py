@@ -8,12 +8,13 @@ echo contract holds with tracing off (the default, zero-overhead path).
 
 import asyncio
 import json
+import time
 
 import pytest
 
 from repro import api
 from repro.api import ScenarioSpec
-from repro.obs.runtime import RuntimeTracer, valid_trace_id
+from repro.obs.tracer import Tracer, valid_trace_id
 from repro.serve import (
     ServeClient,
     ServerConfig,
@@ -93,7 +94,7 @@ def router_config(workers=2) -> ShardConfig:
 
 
 def traced_router(fake):
-    runtime = RuntimeTracer("router", pid=1)
+    runtime = Tracer("router", clock=time.time, pid=1)
     router = ShardRouter(router_config(), workers=fake, runtime=runtime)
     return router, runtime
 
@@ -205,7 +206,7 @@ class TestLiveWorkerEcho:
         assert "x-repro-trace-id" not in headers
 
     def test_worker_traced_request_spans_share_id(self):
-        runtime = RuntimeTracer("serve", pid=2)
+        runtime = Tracer("serve", clock=time.time, pid=2)
         config = ServerConfig(port=0, jobs=1, no_cache=True)
         with ServerThread(config, runtime=runtime) as handle:
             client = ServeClient(port=handle.port)

@@ -725,3 +725,28 @@ class TestWorkersFollowTheirRouter:
                 pass
             router.wait(timeout=30)
             router.stderr.close()
+
+
+class TestWorkerPipesClosed:
+    def test_stderr_closed_after_respawn_and_stop(self):
+        """The router closes its end of each worker's stderr pipe: the
+        killed worker's when its slot respawns, every one after stop()."""
+
+        async def main():
+            workers = SubprocessWorkers(router_config(workers=1))
+            await workers.start()
+            first = workers.slots[0].process
+            first.kill()
+            first.wait(timeout=30)
+            assert await workers.ensure_alive() == 1
+            second = workers.slots[0].process
+            closed_at_respawn = first.stderr.closed
+            await workers.stop()
+            return first, second, closed_at_respawn
+
+        first, second, closed_at_respawn = asyncio.run(main())
+        assert first is not second
+        assert closed_at_respawn
+        for process in (first, second):
+            assert process.stderr.closed
+            assert process.stdin.closed

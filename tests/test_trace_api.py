@@ -91,6 +91,25 @@ class TestResultSerialization:
         cache.put(spec_key(spec), result)
         assert cache.get(spec_key(spec)) == result
 
+    def test_corrupt_cached_trace_event_is_a_miss(self, tmp_path):
+        """A cached trace entry whose event ``args`` is a list is read as
+        a miss, and the session evaluates the spec again."""
+        import json
+
+        from repro.api import DiskResultCache, FabricSession, spec_key
+
+        spec = sim_spec(outputs=("trace",))
+        cache = DiskResultCache(tmp_path)
+        first = FabricSession(result_cache=cache).run(spec)
+        path = cache._path(spec_key(spec))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["trace"]["events"][0]["args"] = [1]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        session = FabricSession(result_cache=cache)
+        assert session.run(spec) == first
+        assert session.runs_executed == 1
+        assert cache.get(spec_key(spec)) == first
+
 
 class TestPhotonicTrace:
     @pytest.fixture(scope="class")
