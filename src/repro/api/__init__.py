@@ -62,12 +62,10 @@ from .result import (
     LinkUtilizationReport,
     MetricLine,
     MetricsReport,
-    PolicyLine,
     RepairReport,
     RunResult,
     SharedLinkLine,
     SliceCost,
-    TelemetryLine,
     TelemetryReport,
     TenancyPolicyReport,
     TenancyReport,
@@ -141,14 +139,12 @@ __all__ = [
     "CongestionSummary",
     "SharedLinkLine",
     "TelemetryReport",
-    "TelemetryLine",
     "LinkUtilizationReport",
     "LinkLoadLine",
     "RepairReport",
     "CircuitLine",
     "AttemptLine",
     "BlastRadiusSummary",
-    "PolicyLine",
     "FleetReport",
     "FleetPolicyReport",
     "FleetSeriesPoint",

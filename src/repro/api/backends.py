@@ -29,14 +29,14 @@ from ..collectives.primitives import (
     reduce_scatter_stage_costs,
 )
 from ..core.fabric import LightpathRackFabric
-from ..core.repair import RepairError, plan_optical_repair
+from ..core.repair import RepairError, RepairPlan, plan_optical_repair
 from ..core.wafer import LightpathWafer
 from ..failures.blast_radius import compare_policies, improvement_factor
 from ..failures.inject import FleetFailureModel
-from ..failures.recovery import ElectricalRecoveryAnalysis, RackMigrationPolicy
+from ..failures.recovery import ElectricalRecoveryAnalysis, RackMigrationPolicy, ReplacementAttempt
 from ..fleet.process import RenewalDraws
-from ..fleet.simulator import YEAR_S, FleetConfig, FleetStats, simulate_fleet
-from ..tenancy.simulator import TenancyConfig, TenancyStats, simulate_tenancy
+from ..fleet.simulator import YEAR_S, FleetConfig, simulate_fleet
+from ..tenancy.simulator import TenancyConfig, simulate_tenancy
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..phy.constants import CHIP_EGRESS_BYTES
@@ -44,6 +44,7 @@ from ..phy.mzi import MziSwitchDynamics
 from ..phy.stitch_loss import StitchLossModel
 from ..sim.runner import ScheduleResult, run_concurrent_schedules
 from ..sim.traffic import MultiTenantWorkload
+from ..topology.slices import Slice
 from ..topology.switched import SwitchedServer
 from ..topology.tpu import TpuCluster, TpuRack
 from .result import (
@@ -53,21 +54,15 @@ from .result import (
     CongestionSummary,
     CostReport,
     DeviceReport,
-    FleetPolicyReport,
     FleetReport,
-    FleetSeriesPoint,
     LinkLoadLine,
     LinkUtilizationReport,
     MetricsReport,
-    PolicyLine,
     RepairReport,
     SharedLinkLine,
     SliceCost,
-    TelemetryLine,
     TelemetryReport,
-    TenancyPolicyReport,
     TenancyReport,
-    TenancySeriesPoint,
     TraceReport,
 )
 from .spec import ScenarioSpec
@@ -190,34 +185,40 @@ class _TorusBackendBase:
         """Per-link capacity the simulator charges for this fabric."""
         raise NotImplementedError
 
-    def telemetry(
-        self, session: "FabricSession", spec: ScenarioSpec
-    ) -> TelemetryReport:
-        torus = session.torus(spec.rack_shape)
+    def _run(
+        self,
+        session: "FabricSession",
+        spec: ScenarioSpec,
+        telemetry: bool = False,
+        tracer: Tracer | None = None,
+    ):
+        """Run the spec's tenants concurrently on the rack's links.
+
+        ``telemetry`` and ``tracer`` pass through to
+        :func:`~repro.sim.runner.run_concurrent_schedules`. Both observe
+        without perturbing, so the telemetry report, the link loads and
+        the trace of one spec describe the same execution.
+        """
         capacity = self.link_capacity_bytes(spec)
-        capacities = {link: capacity for link in torus.links()}
         workload = MultiTenantWorkload(
             slices=session.slices(spec),
             buffer_bytes=spec.buffer_bytes,
             interconnect=self.interconnect,
         )
         params = CostParameters()
-        results = run_concurrent_schedules(
-            workload.schedules(), capacities, params.alpha_s, params.reconfig_s
+        return run_concurrent_schedules(
+            workload.schedules(),
+            {link: capacity for link in session.torus(spec.rack_shape).links()},
+            params.alpha_s,
+            params.reconfig_s,
+            telemetry=telemetry,
+            tracer=tracer,
         )
-        return TelemetryReport(
-            schedules=tuple(
-                TelemetryLine(
-                    name=r.name,
-                    duration_s=r.duration_s,
-                    transfer_s=r.transfer_s,
-                    alpha_s=r.alpha_s,
-                    reconfig_s=r.reconfig_s,
-                    phase_durations_s=r.phase_durations_s,
-                )
-                for r in results
-            )
-        )
+
+    def telemetry(
+        self, session: "FabricSession", spec: ScenarioSpec
+    ) -> TelemetryReport:
+        return TelemetryReport(schedules=tuple(self._run(session, spec)))
 
     def link_utilization(
         self, session: "FabricSession", spec: ScenarioSpec
@@ -229,25 +230,10 @@ class _TorusBackendBase:
         was still running, so links of an unused dimension show up as
         stranded capacity rather than being excluded.
         """
-        torus = session.torus(spec.rack_shape)
-        capacity = self.link_capacity_bytes(spec)
-        capacities = {link: capacity for link in torus.links()}
-        workload = MultiTenantWorkload(
-            slices=session.slices(spec),
-            buffer_bytes=spec.buffer_bytes,
-            interconnect=self.interconnect,
-        )
-        params = CostParameters()
-        results, telemetry = run_concurrent_schedules(
-            workload.schedules(),
-            capacities,
-            params.alpha_s,
-            params.reconfig_s,
-            telemetry=True,
-        )
+        results, telemetry = self._run(session, spec, telemetry=True)
         horizon = max((r.duration_s for r in results), default=0.0)
         lines = []
-        for link in sorted(capacities, key=lambda li: (li.src, li.dst)):
+        for link in sorted(telemetry.capacities, key=lambda li: (li.src, li.dst)):
             carried = telemetry.carried_bytes(link)
             lines.append(
                 LinkLoadLine(
@@ -265,7 +251,7 @@ class _TorusBackendBase:
             )
         return LinkUtilizationReport(
             horizon_s=horizon,
-            link_capacity_bytes_per_s=capacity,
+            link_capacity_bytes_per_s=self.link_capacity_bytes(spec),
             mean_utilization=(
                 telemetry.mean_utilization(horizon) if horizon > 0 else 0.0
             ),
@@ -277,30 +263,9 @@ class _TorusBackendBase:
     def _traced_run(
         self, session: "FabricSession", spec: ScenarioSpec
     ) -> tuple[list[ScheduleResult], Tracer]:
-        """Run the spec's workload with a tracer attached.
-
-        The run is identical to the one ``telemetry`` measures — tracing
-        observes without perturbing — so a trace and a telemetry report
-        of the same spec describe the same execution.
-        """
-        torus = session.torus(spec.rack_shape)
-        capacity = self.link_capacity_bytes(spec)
-        capacities = {link: capacity for link in torus.links()}
-        workload = MultiTenantWorkload(
-            slices=session.slices(spec),
-            buffer_bytes=spec.buffer_bytes,
-            interconnect=self.interconnect,
-        )
-        params = CostParameters()
+        """Run the spec's workload with a tracer attached."""
         tracer = Tracer()
-        results = run_concurrent_schedules(
-            workload.schedules(),
-            capacities,
-            params.alpha_s,
-            params.reconfig_s,
-            tracer=tracer,
-        )
-        return results, tracer
+        return self._run(session, spec, tracer=tracer), tracer
 
     def _trace_failure(
         self,
@@ -388,21 +353,10 @@ class _TorusBackendBase:
             plan.fleet_days * 24 * 3600.0
         )
         rack_report, optical_report = compare_policies(events)
-
-        def line(report) -> PolicyLine:
-            return PolicyLine(
-                policy=report.policy,
-                failures=report.failures,
-                blast_radius_chips=report.blast_radius_chips,
-                total_chip_impact=report.total_chip_impact,
-                total_downtime_s=report.total_downtime_s,
-                lost_chip_seconds=report.lost_chip_seconds,
-            )
-
         return BlastRadiusSummary(
             days=plan.fleet_days,
-            rack_policy=line(rack_report),
-            optical_policy=line(optical_report),
+            rack_policy=rack_report,
+            optical_policy=optical_report,
             improvement_factor=improvement_factor(rack_report, optical_report),
         )
 
@@ -434,9 +388,8 @@ class _TorusBackendBase:
             series_points=plan.series_points,
         )
         draws = RenewalDraws(config.chips, config.mtbf_s, config.seed)
-
-        def run(fabric: str) -> FleetPolicyReport:
-            stats: FleetStats = simulate_fleet(
+        electrical, photonic = (
+            simulate_fleet(
                 config,
                 fabric,
                 policy=plan.policy,
@@ -445,38 +398,15 @@ class _TorusBackendBase:
                 log=session.log,
                 draws=draws,
             )
-            return FleetPolicyReport(
-                fabric=stats.fabric,
-                failures=stats.failures,
-                repairs=stats.repairs,
-                unrepaired=stats.unrepaired,
-                events_processed=stats.events_processed,
-                mean_availability=stats.mean_availability,
-                min_available_chips=stats.min_available_chips,
-                peak_failed_chips=stats.peak_failed_chips,
-                lost_chip_seconds=stats.lost_chip_seconds,
-                collateral_chip_seconds=stats.collateral_chip_seconds,
-                ttr_p50_s=stats.ttr_p50_s,
-                ttr_p90_s=stats.ttr_p90_s,
-                ttr_p99_s=stats.ttr_p99_s,
-                ttr_max_s=stats.ttr_max_s,
-                series=tuple(
-                    FleetSeriesPoint(
-                        start_s=start,
-                        end_s=end,
-                        mean_available_chips=mean,
-                    )
-                    for start, end, mean in stats.series
-                ),
-            )
-
+            for fabric in ("electrical", "photonic")
+        )
         return FleetReport(
             days=plan.days,
             chips=config.chips,
             seed=plan.seed,
             policy=plan.policy,
-            electrical=run("electrical"),
-            photonic=run("photonic"),
+            electrical=electrical,
+            photonic=photonic,
         )
 
     # -- multi-tenant churn simulation ---------------------------------------------
@@ -507,64 +437,35 @@ class _TorusBackendBase:
             steer_circuits=plan.steer_circuits,
             series_points=plan.series_points,
         )
-
-        def run(fabric: str) -> TenancyPolicyReport:
-            stats: TenancyStats = simulate_tenancy(
+        electrical, photonic = (
+            simulate_tenancy(
                 config,
                 fabric,
                 policy=plan.policy,
                 steering=plan.steering and fabric == "photonic",
                 log=session.log,
             )
-            return TenancyPolicyReport(
-                fabric=stats.fabric,
-                steering=stats.steering,
-                arrivals=stats.arrivals,
-                placed=stats.placed,
-                steered_placements=stats.steered_placements,
-                rejected=stats.rejected,
-                completed=stats.completed,
-                running_at_horizon=stats.running_at_horizon,
-                queued_at_horizon=stats.queued_at_horizon,
-                defrag_moves=stats.defrag_moves,
-                events_processed=stats.events_processed,
-                mean_occupancy=stats.mean_occupancy,
-                queue_delay_mean_s=stats.queue_delay_mean_s,
-                queue_delay_p50_s=stats.queue_delay_p50_s,
-                queue_delay_p90_s=stats.queue_delay_p90_s,
-                queue_delay_p99_s=stats.queue_delay_p99_s,
-                queue_delay_max_s=stats.queue_delay_max_s,
-                rejection_rate=stats.rejection_rate,
-                stranded_chip_seconds=stats.stranded_chip_seconds,
-                stranded_fraction=stats.stranded_fraction,
-                circuits_peak=stats.circuits_peak,
-                series=tuple(
-                    TenancySeriesPoint(
-                        start_s=start,
-                        end_s=end,
-                        mean_occupied_chips=mean,
-                        largest_allocatable_chips=largest,
-                        free_chips=free,
-                    )
-                    for start, end, mean, largest, free in stats.series
-                ),
-            )
-
+            for fabric in ("electrical", "photonic")
+        )
         return TenancyReport(
             days=plan.days,
             chips=config.total_chips,
             seed=plan.seed,
             policy=plan.policy,
             profile=plan.profile,
-            electrical=run("electrical"),
-            photonic=run("photonic"),
+            electrical=electrical,
+            photonic=photonic,
         )
 
 
-def _first_failure(spec: ScenarioSpec) -> tuple[int, ...]:
+def _failure(
+    session: "FabricSession", spec: ScenarioSpec
+) -> tuple[tuple[int, ...], Slice]:
+    """The spec's first failed chip and the tenant slice it belongs to."""
     if not spec.failures.failed_chips:
         raise UnsupportedOutput('the "repair" output needs failures.failed_chips')
-    return spec.failures.failed_chips[0]
+    failed = spec.failures.failed_chips[0]
+    return failed, session.slice_of_chip(spec, failed)
 
 
 class ElectricalBackend(_TorusBackendBase):
@@ -608,17 +509,27 @@ class ElectricalBackend(_TorusBackendBase):
             per_slice_congested_dims=dict(report.per_slice_congested_dims),
         )
 
+    def _replacements(
+        self,
+        session: "FabricSession",
+        spec: ScenarioSpec,
+        slc: Slice,
+        failed: tuple[int, ...],
+    ) -> list[ReplacementAttempt]:
+        """Figure 6a's analysis: every free chip of the rack evaluated as
+        the replacement for ``failed``."""
+        analysis = ElectricalRecoveryAnalysis(
+            session.torus(spec.rack_shape),
+            session.allocator(spec),
+            max_hops=spec.failures.max_hops,
+        )
+        return analysis.evaluate_all_free_chips(slc, failed)
+
     def repair(
         self, session: "FabricSession", spec: ScenarioSpec
     ) -> RepairReport:
-        failed = _first_failure(spec)
-        torus = session.torus(spec.rack_shape)
-        allocator = session.allocator(spec)
-        slc = session.slice_of_chip(spec, failed)
-        analysis = ElectricalRecoveryAnalysis(
-            torus, allocator, max_hops=spec.failures.max_hops
-        )
-        attempts = analysis.evaluate_all_free_chips(slc, failed)
+        failed, slc = _failure(session, spec)
+        attempts = self._replacements(session, spec, slc, failed)
         return RepairReport(
             kind="electrical",
             failed=failed,
@@ -648,20 +559,14 @@ class ElectricalBackend(_TorusBackendBase):
         fallback runs — a span whose ~600 s duration dwarfs everything
         else on the timeline.
         """
-        failed = _first_failure(spec)
-        torus = session.torus(spec.rack_shape)
-        allocator = session.allocator(spec)
-        slc = session.slice_of_chip(spec, failed)
+        failed, slc = _failure(session, spec)
         tracer.instant(
             "chip-failure",
             cat="failure",
             ts_s=t0_s,
             args={"chip": list(failed), "slice": slc.name},
         )
-        analysis = ElectricalRecoveryAnalysis(
-            torus, allocator, max_hops=spec.failures.max_hops
-        )
-        attempts = analysis.evaluate_all_free_chips(slc, failed)
+        attempts = self._replacements(session, spec, slc, failed)
         for attempt in attempts:
             tracer.instant(
                 f"replacement-candidate {attempt.free_chip}",
@@ -718,22 +623,37 @@ class PhotonicBackend(_TorusBackendBase):
         # the fabric is congestion-free by construction (Section 3).
         return CongestionSummary(congestion_free=True)
 
+    def _splice(
+        self,
+        session: "FabricSession",
+        spec: ScenarioSpec,
+        slc: Slice,
+        failed: tuple[int, ...],
+    ) -> RepairPlan:
+        """Figure 7's repair: plan the circuits that splice a spare in
+        for ``failed``.
+
+        The rack and its fabric are built fresh: planning fails the chip
+        and allocates circuits, so a memoized instance would leak state
+        between runs.
+
+        Raises:
+            RepairError: when no spare can be spliced in.
+        """
+        return plan_optical_repair(
+            LightpathRackFabric(TpuRack(0, shape=spec.rack_shape)),
+            session.allocator(spec),
+            slc,
+            failed,
+            replacement=spec.failures.replacement,
+        )
+
     def repair(
         self, session: "FabricSession", spec: ScenarioSpec
     ) -> RepairReport:
-        failed = _first_failure(spec)
-        allocator = session.allocator(spec)
-        slc = session.slice_of_chip(spec, failed)
-        # The fabric and rack are built fresh: repair fails the chip and
-        # allocates circuits, so a memoized instance would leak state
-        # between runs.
-        rack = TpuRack(0, shape=spec.rack_shape)
-        fabric = LightpathRackFabric(rack)
+        failed, slc = _failure(session, spec)
         try:
-            plan = plan_optical_repair(
-                fabric, allocator, slc, failed,
-                replacement=spec.failures.replacement,
-            )
+            plan = self._splice(session, spec, slc, failed)
         except RepairError:
             return RepairReport(kind="optical", failed=failed, feasible=False)
         return RepairReport(
@@ -770,22 +690,15 @@ class PhotonicBackend(_TorusBackendBase):
         microseconds later — the counterpoint to the electrical rack
         migration.
         """
-        failed = _first_failure(spec)
-        allocator = session.allocator(spec)
-        slc = session.slice_of_chip(spec, failed)
+        failed, slc = _failure(session, spec)
         tracer.instant(
             "chip-failure",
             cat="failure",
             ts_s=t0_s,
             args={"chip": list(failed), "slice": slc.name},
         )
-        rack = TpuRack(0, shape=spec.rack_shape)
-        fabric = LightpathRackFabric(rack)
         try:
-            plan = plan_optical_repair(
-                fabric, allocator, slc, failed,
-                replacement=spec.failures.replacement,
-            )
+            plan = self._splice(session, spec, slc, failed)
         except RepairError as exc:
             tracer.instant(
                 "repair-failed",

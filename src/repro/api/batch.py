@@ -260,36 +260,21 @@ def _worker_init(cache_dir: str | None, no_cache: bool) -> None:
     )
 
 
-def _worker_eval(spec: ScenarioSpec) -> tuple[RunResult, float, bool, int]:
-    session = _WORKER_SESSION
-    assert session is not None, "worker used without initialization"
+def _evaluate(
+    session: FabricSession, spec: ScenarioSpec
+) -> tuple[RunResult, float, bool, int]:
+    """One spec on ``session``: the result, the seconds it took, whether
+    the session's cache served it, and the evaluating pid."""
     hits_before = session.cache_stats().hits
     started = time.perf_counter()
     result = session.run(spec)
     elapsed = time.perf_counter() - started
-    return (
-        result,
-        elapsed,
-        session.cache_stats().hits > hits_before,
-        os.getpid(),
-    )
+    return result, elapsed, session.cache_stats().hits > hits_before, os.getpid()
 
 
-def _evaluate_serial(
-    specs: Sequence[ScenarioSpec],
-    session: FabricSession,
-) -> list[tuple[RunResult, float, bool, int]]:
-    pid = os.getpid()
-    rows = []
-    for spec in specs:
-        hits_before = session.cache_stats().hits
-        started = time.perf_counter()
-        result = session.run(spec)
-        elapsed = time.perf_counter() - started
-        rows.append(
-            (result, elapsed, session.cache_stats().hits > hits_before, pid)
-        )
-    return rows
+def _worker_eval(spec: ScenarioSpec) -> tuple[RunResult, float, bool, int]:
+    assert _WORKER_SESSION is not None, "worker used without initialization"
+    return _evaluate(_WORKER_SESSION, spec)
 
 
 def run_many(
@@ -351,7 +336,7 @@ def run_many(
             session = FabricSession(
                 result_cache=_make_cache(cache_dir, no_cache)
             )
-        evaluated = _evaluate_serial(unique, session)
+        evaluated = [_evaluate(session, spec) for spec in unique]
     else:
         if session is not None:
             raise ValueError(

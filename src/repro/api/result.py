@@ -8,7 +8,13 @@ physical reports. Every section is an optional typed dataclass, and the
 whole result round-trips through JSON via ``to_dict``/``from_dict`` so
 runs can be archived and compared across backends and code versions.
 Each section is a :class:`~repro.api.codec.Record`: its JSON form
-follows from its annotated fields by the codec's one rule.
+follows from its annotated fields by the codec's one rule. A section
+that reports a model's run nests the record the model returns (a plain
+frozen dataclass: :class:`~repro.sim.runner.ScheduleResult`,
+:class:`~repro.failures.blast_radius.BlastRadiusReport`,
+:class:`~repro.fleet.simulator.FleetPolicyReport`,
+:class:`~repro.tenancy.simulator.TenancyPolicyReport`), which the codec
+encodes by the same rule.
 """
 
 from __future__ import annotations
@@ -18,7 +24,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..collectives.cost_model import CollectiveCost
+from ..failures.blast_radius import BlastRadiusReport
+from ..fleet.simulator import FleetPolicyReport, FleetSeriesPoint
 from ..obs.tracer import TraceEvent, Tracer, chrome_trace, select
+from ..sim.runner import ScheduleResult
+from ..tenancy.simulator import TenancyPolicyReport, TenancySeriesPoint
 from .codec import OPTIONAL, Record, decode, encode
 from .spec import ScenarioSpec
 
@@ -28,14 +38,12 @@ __all__ = [
     "UtilizationRow",
     "SharedLinkLine",
     "CongestionSummary",
-    "TelemetryLine",
     "TelemetryReport",
     "LinkLoadLine",
     "LinkUtilizationReport",
     "CircuitLine",
     "AttemptLine",
     "RepairReport",
-    "PolicyLine",
     "BlastRadiusSummary",
     "FleetSeriesPoint",
     "FleetPolicyReport",
@@ -141,29 +149,18 @@ class CongestionSummary(Record):
 
 
 @dataclass(frozen=True)
-class TelemetryLine(Record):
-    """Measured execution of one tenant's collective on the simulator."""
-
-    name: str
-    duration_s: float
-    transfer_s: float
-    alpha_s: float
-    reconfig_s: float
-    phase_durations_s: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class TelemetryReport(Record):
     """Simulator measurements for the whole scenario.
 
     Attributes:
-        schedules: per-tenant measured runs (torus fabrics).
+        schedules: per-tenant measured runs, as the simulator's runner
+            returns them (torus fabrics).
         aggregate_throughput_bytes: achieved switch throughput under the
             all-to-all pattern (switched fabrics; ``None`` otherwise).
         ideal_throughput_bytes: contention-free switch throughput.
     """
 
-    schedules: tuple[TelemetryLine, ...] = ()
+    schedules: tuple[ScheduleResult, ...] = ()
     aggregate_throughput_bytes: float | None = None
     ideal_throughput_bytes: float | None = None
 
@@ -334,87 +331,14 @@ class RepairReport(Record):
 
 
 @dataclass(frozen=True)
-class PolicyLine(Record):
-    """Blast-radius metrics of one recovery policy over a failure trace."""
-
-    policy: str
-    failures: int
-    blast_radius_chips: int
-    total_chip_impact: int
-    total_downtime_s: float
-    lost_chip_seconds: float
-
-
-@dataclass(frozen=True)
 class BlastRadiusSummary(Record):
-    """Rack-migration vs optical-repair comparison (Section 4.2)."""
+    """Rack-migration vs optical-repair comparison (Section 4.2): the two
+    reports :func:`~repro.failures.blast_radius.compare_policies` makes."""
 
     days: float
-    rack_policy: PolicyLine
-    optical_policy: PolicyLine
+    rack_policy: BlastRadiusReport
+    optical_policy: BlastRadiusReport
     improvement_factor: float
-
-
-@dataclass(frozen=True)
-class FleetSeriesPoint(Record):
-    """One bucket of the fleet availability time series.
-
-    Attributes:
-        start_s: bucket start (simulation seconds).
-        end_s: bucket end.
-        mean_available_chips: time-weighted mean capacity in the bucket.
-    """
-
-    start_s: float
-    end_s: float
-    mean_available_chips: float
-
-
-@dataclass(frozen=True)
-class FleetPolicyReport(Record):
-    """One fabric's measured year (or span) of fleet life.
-
-    Attributes:
-        fabric: ``"electrical"`` or ``"photonic"``.
-        failures: chip failures over the span.
-        repairs: failures repaired within the span.
-        unrepaired: chips still failed at the end.
-        events_processed: simulator events executed (determinism anchor).
-        mean_availability: time-averaged fraction of chips in service.
-        min_available_chips: lowest instantaneous capacity.
-        peak_failed_chips: most chips simultaneously failed.
-        lost_chip_seconds: total unavailable chip-seconds.
-        collateral_chip_seconds: the blast-radius share — healthy chips
-            taken out by rack migrations or server stalls (goodput lost
-            to blast radius).
-        ttr_p50_s / ttr_p90_s / ttr_p99_s / ttr_max_s: time-to-repair
-            percentiles, failure to capacity restored.
-        series: availability time series.
-    """
-
-    fabric: str
-    failures: int
-    repairs: int
-    unrepaired: int
-    events_processed: int
-    mean_availability: float
-    min_available_chips: int
-    peak_failed_chips: int
-    lost_chip_seconds: float
-    collateral_chip_seconds: float
-    ttr_p50_s: float
-    ttr_p90_s: float
-    ttr_p99_s: float
-    ttr_max_s: float
-    series: tuple[FleetSeriesPoint, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_availability <= 1.0:
-            raise ValueError(
-                f"mean_availability {self.mean_availability} outside [0, 1]"
-            )
-        if self.min_available_chips < 0:
-            raise ValueError("min_available_chips cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -432,6 +356,10 @@ class FleetReport(Record):
         policy: dispatch policy both runs used.
         electrical: the rack-migration fabric's measured span.
         photonic: the LIGHTPATH fabric's measured span.
+
+    Raises:
+        ValueError: when a fabric's capacity low or failure peak exceeds
+            the fleet size (each report checks its own counts).
     """
 
     days: float
@@ -440,6 +368,15 @@ class FleetReport(Record):
     policy: str
     electrical: FleetPolicyReport
     photonic: FleetPolicyReport
+
+    def __post_init__(self) -> None:
+        for section in (self.electrical, self.photonic):
+            for name in ("min_available_chips", "peak_failed_chips"):
+                if getattr(section, name) > self.chips:
+                    raise ValueError(
+                        f"{section.fabric} {name} {getattr(section, name)} "
+                        f"outside [0, {self.chips}]"
+                    )
 
     @property
     def availability_gap(self) -> float:
@@ -466,90 +403,6 @@ class FleetReport(Record):
             lambda report: report.downtime_reduction_factor
         ),
     }
-
-
-@dataclass(frozen=True)
-class TenancySeriesPoint(Record):
-    """One bucket of the tenancy occupancy/fragmentation time series.
-
-    Attributes:
-        start_s: bucket start (simulation seconds).
-        end_s: bucket end.
-        mean_occupied_chips: time-weighted mean allocated capacity.
-        largest_allocatable_chips: chips of the largest catalog shape
-            still placeable contiguously at the bucket's end (the
-            electrical view of free capacity).
-        free_chips: total free chips at the bucket's end (what a
-            steering fabric can still use).
-    """
-
-    start_s: float
-    end_s: float
-    mean_occupied_chips: float
-    largest_allocatable_chips: int
-    free_chips: int
-
-
-@dataclass(frozen=True)
-class TenancyPolicyReport(Record):
-    """One fabric's measured span of multi-tenant churn.
-
-    Attributes:
-        fabric: ``"electrical"`` or ``"photonic"``.
-        steering: whether wavelength steering was available.
-        arrivals: jobs submitted.
-        placed: jobs that got a slice.
-        steered_placements: placements assembled from scattered chips.
-        rejected: jobs that timed out in the queue.
-        completed: jobs that finished inside the horizon.
-        running_at_horizon / queued_at_horizon: jobs still in flight.
-        defrag_moves: survivor relocations the policy performed.
-        events_processed: simulator events executed (determinism anchor).
-        mean_occupancy: time-averaged fraction of chips allocated.
-        queue_delay_mean_s: mean placement delay over placed jobs.
-        queue_delay_p50_s / p90 / p99 / max_s: delay percentiles.
-        rejection_rate: rejected / arrivals.
-        stranded_chip_seconds: chip-seconds of bandwidth the fabric
-            could not deliver to the tenants holding the chips.
-        stranded_fraction: stranded share of occupied chip-seconds.
-        circuits_peak: most wavelength circuits simultaneously lit.
-        series: occupancy/fragmentation time series.
-    """
-
-    fabric: str
-    steering: bool
-    arrivals: int
-    placed: int
-    steered_placements: int
-    rejected: int
-    completed: int
-    running_at_horizon: int
-    queued_at_horizon: int
-    defrag_moves: int
-    events_processed: int
-    mean_occupancy: float
-    queue_delay_mean_s: float
-    queue_delay_p50_s: float
-    queue_delay_p90_s: float
-    queue_delay_p99_s: float
-    queue_delay_max_s: float
-    rejection_rate: float
-    stranded_chip_seconds: float
-    stranded_fraction: float
-    circuits_peak: int
-    series: tuple[TenancySeriesPoint, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_occupancy <= 1.0:
-            raise ValueError(
-                f"mean_occupancy {self.mean_occupancy} outside [0, 1]"
-            )
-        if not 0.0 <= self.rejection_rate <= 1.0:
-            raise ValueError(
-                f"rejection_rate {self.rejection_rate} outside [0, 1]"
-            )
-        if self.stranded_chip_seconds < 0:
-            raise ValueError("stranded_chip_seconds cannot be negative")
 
 
 @dataclass(frozen=True)

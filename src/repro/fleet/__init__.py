@@ -19,8 +19,9 @@ from .process import RenewalFailureProcess
 from .simulator import (
     FABRICS,
     FleetConfig,
+    FleetPolicyReport,
+    FleetSeriesPoint,
     FleetSimulator,
-    FleetStats,
     simulate_fleet,
 )
 
@@ -34,7 +35,8 @@ __all__ = [
     "RenewalFailureProcess",
     "FABRICS",
     "FleetConfig",
+    "FleetPolicyReport",
+    "FleetSeriesPoint",
     "FleetSimulator",
-    "FleetStats",
     "simulate_fleet",
 ]

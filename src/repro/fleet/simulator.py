@@ -21,8 +21,11 @@ fabric's repair executor enforces its bandwidth budget:
 
 Occupancy is tracked live — failed chips and blast-radius collateral are
 integrated separately — and every number in the resulting
-:class:`FleetStats` derives from simulation state, never wall clock, so
-runs are deterministic per seed and golden-testable.
+:class:`FleetPolicyReport` derives from simulation state, never wall
+clock, so runs are deterministic per seed and golden-testable. The
+report is the record the experiment API's ``"fleet"`` output stores,
+one per fabric: a plain frozen dataclass whose JSON form
+:mod:`repro.api.codec` derives from its fields.
 
 Chip state and each in-service chip's next failure time sit in
 ``(racks, chips_per_rack)`` arrays, and the engine holds one event per
@@ -50,7 +53,8 @@ from .process import RenewalDraws, RenewalFailureProcess
 
 __all__ = [
     "FleetConfig",
-    "FleetStats",
+    "FleetSeriesPoint",
+    "FleetPolicyReport",
     "FleetSimulator",
     "simulate_fleet",
     "FABRICS",
@@ -139,19 +143,30 @@ class FleetConfig:
 
 
 @dataclass(frozen=True)
-class FleetStats:
-    """Everything one fleet simulation measured.
+class FleetSeriesPoint:
+    """One bucket of the fleet availability time series.
+
+    Attributes:
+        start_s: bucket start (simulation seconds).
+        end_s: bucket end.
+        mean_available_chips: time-weighted mean capacity in the bucket.
+    """
+
+    start_s: float
+    end_s: float
+    mean_available_chips: float
+
+
+@dataclass(frozen=True)
+class FleetPolicyReport:
+    """One fabric's measured year (or span) of fleet life.
 
     Attributes:
         fabric: ``"electrical"`` or ``"photonic"``.
-        policy: dispatch policy name.
-        chips: fleet size.
-        horizon_s: simulated span.
-        seed: RNG seed.
-        failures: chip failures that occurred.
-        repairs: failures repaired within the horizon.
-        unrepaired: chips still failed at the horizon.
-        events_processed: engine events executed.
+        failures: chip failures over the span.
+        repairs: failures repaired within the span.
+        unrepaired: chips still failed at the end.
+        events_processed: engine events executed (determinism anchor).
         mean_availability: time-averaged fraction of chips in service.
         min_available_chips: lowest instantaneous capacity.
         peak_failed_chips: most chips simultaneously failed.
@@ -162,18 +177,16 @@ class FleetStats:
             or server stalls (the goodput lost to blast radius).
         ttr_p50_s / ttr_p90_s / ttr_p99_s / ttr_max_s: time-to-repair
             percentiles (failure to capacity restored), nearest-rank.
-        series: ``(start_s, end_s, mean_available_chips)`` buckets.
+        series: availability time series.
 
     Raises:
         ValueError: when the counts or integrals contradict each other
-            (a bookkeeping fault in the simulator that built them).
+            (a bookkeeping fault in the simulator that built them). The
+            fleet-size bounds need the fleet's size, so
+            :class:`~repro.api.result.FleetReport` checks those.
     """
 
     fabric: str
-    policy: str
-    chips: int
-    horizon_s: float
-    seed: int
     failures: int
     repairs: int
     unrepaired: int
@@ -187,7 +200,7 @@ class FleetStats:
     ttr_p90_s: float
     ttr_p99_s: float
     ttr_max_s: float
-    series: tuple[tuple[float, float, float], ...]
+    series: tuple[FleetSeriesPoint, ...]
 
     def __post_init__(self) -> None:
         if self.failures != self.repairs + self.unrepaired:
@@ -197,7 +210,7 @@ class FleetStats:
             )
         if not 0.0 <= self.mean_availability <= 1.0:
             raise ValueError(
-                f"mean availability {self.mean_availability} outside [0, 1]"
+                f"mean_availability {self.mean_availability} outside [0, 1]"
             )
         if not 0.0 <= self.collateral_chip_seconds <= self.lost_chip_seconds:
             raise ValueError(
@@ -205,10 +218,8 @@ class FleetStats:
                 f"outside [0, lost = {self.lost_chip_seconds}]"
             )
         for name in ("min_available_chips", "peak_failed_chips"):
-            if not 0 <= getattr(self, name) <= self.chips:
-                raise ValueError(
-                    f"{name} {getattr(self, name)} outside [0, {self.chips}]"
-                )
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} {getattr(self, name)} cannot be negative")
 
 
 class FleetSimulator:
@@ -225,7 +236,7 @@ class FleetSimulator:
     reference cycle, so dropping it frees the run. Runs that pass the
     same ``draws`` (a :class:`RenewalDraws` for the config's chips, MTBF
     and seed) read the same renewal values without drawing them again;
-    the stats are the same with or without it.
+    the report is the same with or without it.
     """
 
     def __init__(
@@ -465,8 +476,8 @@ class FleetSimulator:
 
     # -- run ---------------------------------------------------------------------
 
-    def run(self) -> FleetStats:
-        """Simulate the horizon and return the measured statistics.
+    def run(self) -> FleetPolicyReport:
+        """Simulate the horizon and return the measured report.
 
         Raises:
             SimulationError: on an occupancy invariant violation or a
@@ -485,12 +496,8 @@ class FleetSimulator:
         self._account()
         lost, collateral_lost = self._available.totals
         ttrs = sorted(self._ttrs)
-        return FleetStats(
+        return FleetPolicyReport(
             fabric=self.fabric,
-            policy=self.policy.name,
-            chips=cfg.chips,
-            horizon_s=cfg.horizon_s,
-            seed=cfg.seed,
             failures=self._failures,
             repairs=self._repairs,
             unrepaired=len(self._fail_times),
@@ -506,7 +513,10 @@ class FleetSimulator:
             ttr_p90_s=nearest_rank(ttrs, 0.90),
             ttr_p99_s=nearest_rank(ttrs, 0.99),
             ttr_max_s=ttrs[-1] if ttrs else 0.0,
-            series=self._available.buckets(cfg.horizon_s, cfg.series_points),
+            series=tuple(
+                FleetSeriesPoint(*bucket)
+                for bucket in self._available.buckets(cfg.horizon_s, cfg.series_points)
+            ),
         )
 
 
@@ -518,13 +528,13 @@ def simulate_fleet(
     batch_interval_s: float = 21600.0,
     log: EventLog | None = None,
     draws: RenewalDraws | None = None,
-) -> FleetStats:
+) -> FleetPolicyReport:
     """Run one fabric's fleet simulation with a fresh policy instance.
 
     ``log`` (when given and at ``info`` or lower) receives a
     ``fleet.progress`` heartbeat at each tenth of the horizon; ``draws``
     lends the run renewal values another run drew (see
-    :class:`FleetSimulator`). The returned stats are byte-identical
+    :class:`FleetSimulator`). The returned report is byte-identical
     either way.
     """
     return FleetSimulator(

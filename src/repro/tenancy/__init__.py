@@ -23,8 +23,9 @@ from .policies import (
 from .simulator import (
     FABRICS,
     TenancyConfig,
+    TenancyPolicyReport,
+    TenancySeriesPoint,
     TenancySimulator,
-    TenancyStats,
     simulate_tenancy,
 )
 from .workload import (
@@ -47,7 +48,8 @@ __all__ = [
     "make_placement_policy",
     "PLACEMENT_POLICY_NAMES",
     "TenancyConfig",
-    "TenancyStats",
+    "TenancyPolicyReport",
+    "TenancySeriesPoint",
     "TenancySimulator",
     "simulate_tenancy",
     "FABRICS",

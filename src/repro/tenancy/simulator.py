@@ -18,15 +18,18 @@ ClusterState`; the fabric choice decides what a placement *costs*:
   rack's steering circuits).
 
 Jobs that cannot place queue per priority class (production drains
-first) and are rejected after ``max_queue_wait_s``. Every statistic
-derives from simulation state, never wall clock, so runs are
-deterministic per seed and golden-testable.
+first) and are rejected after ``max_queue_wait_s``. Every number in the
+resulting :class:`TenancyPolicyReport` derives from simulation state,
+never wall clock, so runs are deterministic per seed and
+golden-testable. The report is the record the experiment API's
+``"tenancy"`` output stores, one per fabric: a plain frozen dataclass
+whose JSON form :mod:`repro.api.codec` derives from its fields.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import nearest_rank
@@ -44,7 +47,8 @@ from .workload import PRIORITIES, TenantJob, generate_jobs
 
 __all__ = [
     "TenancyConfig",
-    "TenancyStats",
+    "TenancySeriesPoint",
+    "TenancyPolicyReport",
     "TenancySimulator",
     "simulate_tenancy",
     "FABRICS",
@@ -126,17 +130,34 @@ class TenancyConfig:
 
 
 @dataclass(frozen=True)
-class TenancyStats:
-    """Everything one tenancy simulation measured.
+class TenancySeriesPoint:
+    """One bucket of the tenancy occupancy/fragmentation time series.
+
+    Attributes:
+        start_s: bucket start (simulation seconds).
+        end_s: bucket end.
+        mean_occupied_chips: time-weighted mean allocated capacity.
+        largest_allocatable_chips: chips of the largest catalog shape
+            still placeable contiguously at the bucket's end (the
+            electrical view of free capacity).
+        free_chips: total free chips at the bucket's end (what a
+            steering fabric can still use).
+    """
+
+    start_s: float
+    end_s: float
+    mean_occupied_chips: float
+    largest_allocatable_chips: int
+    free_chips: int
+
+
+@dataclass(frozen=True)
+class TenancyPolicyReport:
+    """One fabric's measured span of multi-tenant churn.
 
     Attributes:
         fabric: ``"electrical"`` or ``"photonic"``.
-        policy: placement policy name.
         steering: whether wavelength steering was available.
-        total_chips: cluster size.
-        horizon_s: simulated span.
-        seed: workload seed.
-        profile: arrival profile.
         arrivals: jobs submitted.
         placed: jobs that got a slice (immediately or from the queue).
         steered_placements: placements assembled from scattered chips.
@@ -144,7 +165,7 @@ class TenancyStats:
         completed: jobs that ran to completion inside the horizon.
         running_at_horizon / queued_at_horizon: jobs still in flight.
         defrag_moves: survivor relocations the policy performed.
-        events_processed: engine events executed.
+        events_processed: engine events executed (determinism anchor).
         mean_occupancy: time-averaged fraction of chips allocated.
         queue_delay_mean_s: mean placement delay over placed jobs
             (immediate placements count as zero).
@@ -156,23 +177,17 @@ class TenancyStats:
             not deliver to the tenants holding it.
         stranded_fraction: stranded share of occupied chip-seconds.
         circuits_peak: most wavelength circuits simultaneously lit.
-        series: ``(start_s, end_s, mean_occupied_chips,
-            largest_allocatable_chips, free_chips)`` buckets; the last
-            two sample fragmentation at each bucket's end.
+        series: occupancy/fragmentation time series; the last two
+            fields of each point sample fragmentation at its end.
 
     Raises:
-        ValueError: when the job counts do not add up or a fraction
-            leaves ``[0, 1]`` (a bookkeeping fault in the simulator that
-            built them).
+        ValueError: when the job counts do not add up, a fraction leaves
+            ``[0, 1]`` or the stranded integral is negative (a
+            bookkeeping fault in the simulator that built them).
     """
 
     fabric: str
-    policy: str
     steering: bool
-    total_chips: int
-    horizon_s: float
-    seed: int
-    profile: str
     arrivals: int
     placed: int
     steered_placements: int
@@ -192,7 +207,7 @@ class TenancyStats:
     stranded_chip_seconds: float
     stranded_fraction: float
     circuits_peak: int
-    series: tuple[tuple[float, float, float, int, int], ...]
+    series: tuple[TenancySeriesPoint, ...]
 
     def __post_init__(self) -> None:
         if self.arrivals != self.placed + self.rejected + self.queued_at_horizon:
@@ -208,6 +223,8 @@ class TenancyStats:
         for name in ("mean_occupancy", "stranded_fraction", "rejection_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} {getattr(self, name)} outside [0, 1]")
+        if self.stranded_chip_seconds < 0:
+            raise ValueError("stranded_chip_seconds cannot be negative")
 
 
 class TenancySimulator:
@@ -410,8 +427,8 @@ class TenancySimulator:
         )
         self.cluster.check_consistent()
 
-    def run(self) -> TenancyStats:
-        """Simulate the horizon and return the measured statistics.
+    def run(self) -> TenancyPolicyReport:
+        """Simulate the horizon and return the measured report.
 
         Raises:
             SimulationError: on an occupancy invariant violation — a
@@ -435,14 +452,9 @@ class TenancySimulator:
         self.cluster.check_consistent()
         delays = sorted(self._delays)
         occupied_cs, stranded_cs = self._occupied.totals
-        return TenancyStats(
+        return TenancyPolicyReport(
             fabric=self.fabric,
-            policy=self.policy.name,
             steering=self.policy.requires_steering,
-            total_chips=cfg.total_chips,
-            horizon_s=cfg.horizon_s,
-            seed=cfg.seed,
-            profile=cfg.profile,
             arrivals=self._arrivals,
             placed=self._placed,
             steered_placements=self._steered,
@@ -469,7 +481,7 @@ class TenancySimulator:
             # Occupancy buckets joined with the fragmentation probes
             # taken at each bucket's end.
             series=tuple(
-                (*bucket, *probe)
+                TenancySeriesPoint(*bucket, *probe)
                 for bucket, probe in zip(
                     self._occupied.buckets(cfg.horizon_s, cfg.series_points),
                     self._frag_samples,
@@ -486,7 +498,7 @@ def simulate_tenancy(
     steering: bool | None = None,
     log: EventLog | None = None,
     tracer: Tracer | None = None,
-) -> TenancyStats:
+) -> TenancyPolicyReport:
     """Run one fabric's tenancy simulation with a fresh policy instance.
 
     ``steering`` defaults to the fabric's nature — on for photonic, off
@@ -498,7 +510,7 @@ def simulate_tenancy(
 
     ``log`` (when given and at ``info`` or lower) receives a
     ``tenancy.progress`` heartbeat at each tenth of the horizon; the
-    returned stats are byte-identical either way.
+    returned report is byte-identical either way.
     """
     if fabric not in FABRICS:
         raise ValueError(f"unknown fabric {fabric!r}; choose from {FABRICS}")
@@ -509,15 +521,4 @@ def simulate_tenancy(
     placement = make_placement_policy(policy)
     if steering and not placement.requires_steering:
         placement = SteerOnArrivalPolicy(placement)
-    simulator = TenancySimulator(
-        config,
-        fabric,
-        placement,
-        log=log,
-        tracer=tracer,
-    )
-    stats = simulator.run()
-    # Report the caller's policy choice, not the steering wrapper's name.
-    if stats.policy != policy:
-        stats = replace(stats, policy=policy, steering=True)
-    return stats
+    return TenancySimulator(config, fabric, placement, log=log, tracer=tracer).run()

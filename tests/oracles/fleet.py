@@ -7,8 +7,8 @@ from a fresh draw when it returns), a rack migration suspends and
 restores its chips one at a time, and each chip reads its renewal stream
 one scalar ``default_rng((seed, chip)).exponential(mtbf_s)`` call at a
 time. It shares no code with the simulator beyond the configuration,
-stats record, policies and time-weighted series, so the two must agree
-on every :class:`~repro.fleet.simulator.FleetStats` field.
+report record, policies and time-weighted series, so the two must agree
+on every :class:`~repro.fleet.simulator.FleetPolicyReport` field.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import deque
 import numpy as np
 
 from repro.fleet.policies import RepairPolicy, make_policy
-from repro.fleet.simulator import FleetConfig, FleetStats
+from repro.fleet.simulator import FleetConfig, FleetPolicyReport, FleetSeriesPoint
 from repro.obs.metrics import nearest_rank
 from repro.sim.engine import EventEngine
 from repro.sim.scaffold import StepSeries, run_horizon
@@ -216,7 +216,7 @@ class PerChipEventFleetSimulator:
 
     # -- run ---------------------------------------------------------------------
 
-    def run(self) -> FleetStats:
+    def run(self) -> FleetPolicyReport:
         cfg = self.config
         self.policy.start(self._engine, self._dispatch)
         for chip in range(cfg.chips):
@@ -225,12 +225,8 @@ class PerChipEventFleetSimulator:
         self._account()
         lost, collateral_lost = self._available.totals
         ttrs = sorted(self._ttrs)
-        return FleetStats(
+        return FleetPolicyReport(
             fabric=self.fabric,
-            policy=self.policy.name,
-            chips=cfg.chips,
-            horizon_s=cfg.horizon_s,
-            seed=cfg.seed,
             failures=self._failures,
             repairs=self._repairs,
             unrepaired=len(self._fail_times),
@@ -246,5 +242,8 @@ class PerChipEventFleetSimulator:
             ttr_p90_s=nearest_rank(ttrs, 0.90),
             ttr_p99_s=nearest_rank(ttrs, 0.99),
             ttr_max_s=ttrs[-1] if ttrs else 0.0,
-            series=self._available.buckets(cfg.horizon_s, cfg.series_points),
+            series=tuple(
+                FleetSeriesPoint(*bucket)
+                for bucket in self._available.buckets(cfg.horizon_s, cfg.series_points)
+            ),
         )

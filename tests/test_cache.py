@@ -10,10 +10,12 @@ import repro
 from repro.api import (
     DiskResultCache,
     FabricSession,
+    FleetPlan,
     MemoryResultCache,
     NullResultCache,
     ScenarioSpec,
     SliceSpec,
+    TenancyPlan,
     code_fingerprint,
     default_cache_dir,
     run_many,
@@ -108,6 +110,45 @@ class TestDiskResultCache:
         path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
         assert cache.get(key) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            (
+                ScenarioSpec(
+                    fabric="photonic",
+                    outputs=("fleet",),
+                    fleet=FleetPlan(days=30.0, racks=2, mtbf_years=0.1, seed=3),
+                ),
+                ("fleet", "failures"),
+            ),
+            (
+                ScenarioSpec(
+                    fabric="photonic",
+                    outputs=("tenancy",),
+                    tenancy=TenancyPlan(days=0.05, racks=1, seed=3),
+                ),
+                ("tenancy", "arrivals"),
+            ),
+        ],
+        ids=["fleet-failures", "tenancy-arrivals"],
+    )
+    def test_entry_breaking_a_count_identity_is_a_miss(self, tmp_path, spec, count):
+        # failures = repairs + unrepaired and arrivals = placed +
+        # rejected + queued: an entry that breaks one is evaluated again.
+        cache = DiskResultCache(tmp_path)
+        result = FabricSession(result_cache=cache).run(spec)
+        key = spec_key(spec)
+        path = cache._path(key)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        section, name = count
+        data[section]["electrical"][name] += 1
+        path.write_text(json.dumps(data), encoding="utf-8")
+        again = FabricSession(result_cache=cache)
+        assert again.run(spec) == result
+        assert again.runs_executed == 1
+        assert again.cache_stats().hits == 0
+        assert cache.get(key) == result
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         spec, result = self.evaluated()

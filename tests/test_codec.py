@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     DiskResultCache,
     FleetPolicyReport,
@@ -84,11 +85,12 @@ class TestEncoding:
         assert Outer("x", inner=Inner(0)).to_dict()["ratio"] is None
 
     def test_int_in_float_field_survives_decode_encode(self):
-        point = FleetSeriesPoint.from_dict(
-            {"start_s": 0, "end_s": 86400, "mean_available_chips": 4096}
+        point = decode(
+            FleetSeriesPoint,
+            {"start_s": 0, "end_s": 86400, "mean_available_chips": 4096},
         )
         assert type(point.start_s) is int
-        assert json.dumps(point.to_dict()) == (
+        assert json.dumps(encode(point)) == (
             '{"start_s": 0, "end_s": 86400, "mean_available_chips": 4096}'
         )
 
@@ -176,8 +178,9 @@ class TestDecoding:
         assert report.names() == ("a", "b")
         assert decode(MetricsReport, encode(report)) == report
         with pytest.raises(ValueError, match="mean_availability"):
-            FleetPolicyReport.from_dict(
-                {**_fleet_policy_fields(), "mean_availability": 1.5}
+            decode(
+                FleetPolicyReport,
+                {**_fleet_policy_fields(), "mean_availability": 1.5},
             )
 
     def test_type_hints_resolved_once_per_class(self, monkeypatch):
@@ -212,6 +215,30 @@ class TestBoundaries:
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "__future__"
+
+    @pytest.mark.parametrize("package", ["fleet", "tenancy", "sim", "failures"])
+    def test_models_do_not_import_the_api(self, package):
+        # repro.api.result nests these packages' records, so an import of
+        # repro.api from any of them would close an import cycle.
+        root = Path(repro.__file__).parent
+        modules = sorted((root / package).rglob("*.py"))
+        assert modules
+        for path in modules:
+            parent = ("repro", *path.relative_to(root).parts[:-1])
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    base = parent[: len(parent) - node.level + 1] if node.level else ()
+                    module = ".".join((*base, *filter(None, [node.module])))
+                    names = [module] + [f"{module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not (name + ".").startswith("repro.api."), (
+                        f"{path.relative_to(root)} imports {name}"
+                    )
 
     def test_spec_rejects_coercions_it_used_to_make(self):
         for data in (
